@@ -120,7 +120,7 @@ def _cmd_algebra(args) -> int:
             "kupisch": list(A.kupisch),
             "dimension": A.dimension,
             "loewy_length": algebra_loewy_length(A),
-            "indecomposables": len(indecomposables(A)),
+            "indecomposables": A.dimension,  # one uniserial per (top, length): sum(kupisch)
             "spi_class": spi_classify(A).value,
             "global_dimension": _finite(global_dimension(A)),
         }

@@ -138,28 +138,49 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def sub_closure(A: Algebra, T: IndecSet) -> IndecSet:
-    """All indecomposable submodules of members: chop from the top, (i+r, l-r)."""
+@lru_cache(maxsize=None)
+def _window_tables(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tails, heads) per indec k: bits of its uniserial submodules, chopped
+    from the top as (i+r, l-r), and of its quotients, truncated at the socle
+    as (i, l-r)."""
     index = indec_index(A)
-    mask = 0
-    indecs = indecomposables(A)
-    for k in _bits(T.mask):
-        u = indecs[k]
+    tails = []
+    heads = []
+    for u in indecomposables(A):
+        t = h = 0
         for r in range(u.length):
-            mask |= 1 << index[Uniserial(A.step(u.top_vertex, r), u.length - r)]
-    return IndecSet(A, mask)
+            t |= 1 << index[Uniserial(A.step(u.top_vertex, r), u.length - r)]
+            h |= 1 << index[Uniserial(u.top_vertex, u.length - r)]
+        tails.append(t)
+        heads.append(h)
+    return tuple(tails), tuple(heads)
+
+
+def _union(table: tuple[int, ...], mask: int) -> int:
+    out = 0
+    for k in _bits(mask):
+        out |= table[k]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sub_mask(A: Algebra, mask: int) -> int:
+    return _union(_window_tables(A)[0], mask)
+
+
+@lru_cache(maxsize=None)
+def _fac_mask(A: Algebra, mask: int) -> int:
+    return _union(_window_tables(A)[1], mask)
+
+
+def sub_closure(A: Algebra, T: IndecSet) -> IndecSet:
+    """All indecomposable submodules of members."""
+    return IndecSet(A, _sub_mask(A, T.mask))
 
 
 def fac_closure(A: Algebra, T: IndecSet) -> IndecSet:
-    """All indecomposable quotients of members: truncate the socle, (i, l-r)."""
-    index = indec_index(A)
-    mask = 0
-    indecs = indecomposables(A)
-    for k in _bits(T.mask):
-        u = indecs[k]
-        for r in range(u.length):
-            mask |= 1 << index[Uniserial(u.top_vertex, u.length - r)]
-    return IndecSet(A, mask)
+    """All indecomposable quotients of members."""
+    return IndecSet(A, _fac_mask(A, T.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +217,6 @@ def _pair_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _tail_table(A: Algebra) -> tuple[int, ...]:
-    """tails[k] = bits of all tail windows (uniserial submodules) of indec k."""
-    indecs = indecomposables(A)
-    index = indec_index(A)
-    out = []
-    for u in indecs:
-        bits = 0
-        for r in range(u.length):
-            bits |= 1 << index[Uniserial(A.step(u.top_vertex, r), u.length - r)]
-        out.append(bits)
-    return tuple(out)
-
-
 def _floor_mask(A: Algebra, left: int, right: int) -> int:
     """Members plus pairwise middle summands: a realizable subset of star."""
     table = _pair_table(A)
@@ -225,13 +232,8 @@ def _ceiling_mask(A: Algebra, left: int, right: int) -> int:
     """Stack-shape bound: every star member is a right-tail over a left-tail."""
     indecs = indecomposables(A)
     index = indec_index(A)
-    tails = _tail_table(A)
-    t_right = 0
-    for k in _bits(right):
-        t_right |= tails[k]
-    t_left = 0
-    for k in _bits(left):
-        t_left |= tails[k]
+    t_right = _sub_mask(A, right)
+    t_left = _sub_mask(A, left)
     out = left | right | t_right | t_left
     for kc in _bits(t_right):
         c_win = indecs[kc]
@@ -244,27 +246,6 @@ def _ceiling_mask(A: Algebra, left: int, right: int) -> int:
             k_win = indecs[ku]
             if k_win.top_vertex == b + 1 and k_win.length <= room:
                 out |= 1 << index[Uniserial(a, c_win.length + k_win.length)]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sub_mask(A: Algebra, mask: int) -> int:
-    tails = _tail_table(A)
-    out = 0
-    for k in _bits(mask):
-        out |= tails[k]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _fac_mask(A: Algebra, mask: int) -> int:
-    index = indec_index(A)
-    indecs = indecomposables(A)
-    out = 0
-    for k in _bits(mask):
-        u = indecs[k]
-        for r in range(u.length):
-            out |= 1 << index[Uniserial(u.top_vertex, u.length - r)]
     return out
 
 

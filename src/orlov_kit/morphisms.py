@@ -207,18 +207,22 @@ def irreducible_coghosts(A: Algebra, T: IndecSet) -> tuple[ARArrow, ...]:
 
 @lru_cache(maxsize=None)
 def _chain_tables(A: Algebra):
-    """Per ordered hom pair (a, b): the members I killing edge coghostness,
-    as masks: cog[a][b] = {I : Hom(b, I) != 0 and top(a) <= end(I)} and the
-    ghost-side gho[a][b] = {I : Hom(I, a) != 0 and top(I) <= end(b)}.
-    Identity pairs are included: id_a is a T-coghost iff Hom(a, T) = 0.
+    """Per hom pair, the members I killing edge (co)ghostness, as masks, read
+    in the direction the searches walk (from the chain end they start at):
+
+      into[b][a]   = {I : Hom(b, I) != 0 and top(a) <= end(I)}  (coghost a -> b)
+      out_of[a][b] = {I : Hom(I, a) != 0 and top(I) <= end(b)}  (ghost a -> b)
+
+    None where Hom(a, b) = 0.  Identity pairs are included: id_a is a
+    T-coghost iff Hom(a, T) = 0.
     """
     _require_linear(A)
     indecs = indecomposables(A)
     count = len(indecs)
     ends = [interval_end(A, u) for u in indecs]
     hom = [[hom_dim(A, x, y) for y in indecs] for x in indecs]
-    cog = [[None] * count for _ in range(count)]
-    gho = [[None] * count for _ in range(count)]
+    into = [[None] * count for _ in range(count)]
+    out_of = [[None] * count for _ in range(count)]
     for a in range(count):
         for b in range(count):
             if hom[a][b] == 0:
@@ -230,23 +234,25 @@ def _chain_tables(A: Algebra):
                     cmask |= 1 << i
                 if hom[i][a] and indecs[i].top_vertex <= ends[b]:
                     gmask |= 1 << i
-            cog[a][b] = cmask
-            gho[a][b] = gmask
-    return hom, ends, cog, gho
+            into[b][a] = cmask
+            out_of[a][b] = gmask
+    return ends, into, out_of
 
 
-def _edge_masks(A: Algebra, T: IndecSet, ghost: bool) -> list[int]:
-    """incoming[b] = bitmask of sources a with a T-(co)ghost edge a -> b."""
-    hom, _, cog, gho = _chain_tables(A)
-    kill = gho if ghost else cog
-    count = len(hom)
-    incoming = [0] * count
-    for a in range(count):
-        for b in range(count):
-            mask = kill[a][b]
-            if mask is not None and mask & T.mask == 0:
-                incoming[b] |= 1 << a
-    return incoming
+def _edge_masks(table, kill: int) -> list[int]:
+    """step[x] = bitmask of y with table[x][y] defined and disjoint from kill."""
+    return [
+        sum(1 << y for y, mask in enumerate(row) if mask is not None and mask & kill == 0)
+        for row in table
+    ]
+
+
+def _advance(step: list[int], reach: int) -> int:
+    """One chain step: everything one edge away from the reach set."""
+    out = 0
+    for x in _bits(reach):
+        out |= step[x]
+    return out
 
 
 def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
@@ -258,16 +264,13 @@ def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
     """
     if n < 1:
         raise InputError(f"chain length must be >= 1, got {n}")
-    incoming = _edge_masks(A, T, ghost=False)
-    _, ends, _, _ = _chain_tables(A)
+    ends, into, _ = _chain_tables(A)
+    step = _edge_masks(into, T.mask)
     indecs = indecomposables(A)
     y = indec_index(A)[Y]
-    reach = incoming[y]
-    for _ in range(n - 1):
-        nxt = 0
-        for x in _bits(reach):
-            nxt |= incoming[x]
-        reach = nxt
+    reach = 1 << y
+    for _ in range(n):
+        reach = _advance(step, reach)
     return any(indecs[a].top_vertex <= ends[y] for a in _bits(reach))
 
 
@@ -275,32 +278,23 @@ def ghost_chain_exists(A: Algebra, T: IndecSet, X: Uniserial, n: int) -> bool:
     """Dual search: nonzero composite of n T-ghost maps out of X."""
     if n < 1:
         raise InputError(f"chain length must be >= 1, got {n}")
-    _, ends, _, _ = _chain_tables(A)
-    outgoing = _outgoing_masks(A, T)
-    x = indec_index(A)[X]
-    reach = outgoing[x]
-    for _ in range(n - 1):
-        nxt = 0
-        for b in _bits(reach):
-            nxt |= outgoing[b]
-        reach = nxt
-    top_x = indecomposables(A)[x].top_vertex
-    return any(top_x <= ends[b] for b in _bits(reach))
+    ends, _, out_of = _chain_tables(A)
+    step = _edge_masks(out_of, T.mask)
+    reach = 1 << indec_index(A)[X]
+    for _ in range(n):
+        reach = _advance(step, reach)
+    return any(X.top_vertex <= ends[b] for b in _bits(reach))
 
 
 def find_coghost_chain(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> tuple[Uniserial, ...] | None:
     """One witnessing chain (A_n, ..., A_1, Y) with nonzero composite, if any."""
-    incoming = _edge_masks(A, T, ghost=False)
-    _, ends, _, _ = _chain_tables(A)
+    ends, into, _ = _chain_tables(A)
+    step = _edge_masks(into, T.mask)
     indecs = indecomposables(A)
     y = indec_index(A)[Y]
     layers = [1 << y]
     for _ in range(n):
-        prev = layers[-1]
-        nxt = 0
-        for x in _bits(prev):
-            nxt |= incoming[x]
-        layers.append(nxt)
+        layers.append(_advance(step, layers[-1]))
     starts = [a for a in _bits(layers[n]) if indecs[a].top_vertex <= ends[y]]
     if not starts:
         return None
@@ -308,25 +302,13 @@ def find_coghost_chain(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> tuple[U
     for k in range(n - 1, 0, -1):
         cur = chain[-1]
         for b in _bits(layers[k]):
-            if incoming[b] >> cur & 1:
+            if step[b] >> cur & 1:
                 chain.append(b)
                 break
         else:  # pragma: no cover - layers are consistent by construction
             raise AssertionError("chain reconstruction failed")
     chain.append(y)
     return tuple(indecs[k] for k in chain)
-
-
-def _outgoing_masks(A: Algebra, T: IndecSet) -> list[int]:
-    hom, _, _, gho = _chain_tables(A)
-    count = len(hom)
-    outgoing = [0] * count
-    for a in range(count):
-        for b in range(count):
-            mask = gho[a][b]
-            if mask is not None and mask & T.mask == 0:
-                outgoing[a] |= 1 << b
-    return outgoing
 
 
 def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
@@ -339,26 +321,16 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
     """
     violations = []
     indecs = indecomposables(A)
-    _, ends, _, _ = _chain_tables(A)
-    incoming = _edge_masks(A, T, ghost=False)
-    outgoing = _outgoing_masks(A, T)
-    count = len(indecs)
-    # reach_in[y] / reach_out[x] start at chain length 1 and advance per n
-    reach_in = list(incoming)
-    reach_out = list(outgoing)
+    ends, into, out_of = _chain_tables(A)
+    step_in = _edge_masks(into, T.mask)
+    step_out = _edge_masks(out_of, T.mask)
+    # reach_in[y] / reach_out[x]: chain sources into y / targets out of x
+    reach_in = reach_out = [1 << k for k in range(len(indecs))]
     sub_level = sub_closure(A, T)
     fac_level = fac_closure(A, T)
     for n in range(1, nmax + 1):
-        if n > 1:
-            for k in range(count):
-                acc = 0
-                for x in _bits(reach_in[k]):
-                    acc |= incoming[x]
-                reach_in[k] = acc
-                acc = 0
-                for b in _bits(reach_out[k]):
-                    acc |= outgoing[b]
-                reach_out[k] = acc
+        reach_in = [_advance(step_in, r) for r in reach_in]
+        reach_out = [_advance(step_out, r) for r in reach_out]
         in_sub = bracket_n(A, sub_level, n)
         in_fac = bracket_n(A, fac_level, n)
         for y, Y in enumerate(indecs):
@@ -385,39 +357,40 @@ def radical_nilpotence_check(A: Algebra, chains: int = 10_000, seed: int = 20260
 
     Exhaustive over canonical basis chains when n <= 5 (the composite of a
     chain of basis maps is nonzero iff top(source) <= end(final target), so
-    scalar choices are irrelevant); randomized coefficient matrices between
-    random sums otherwise.  The report also carries the longest nonzero
-    radical chain length found, which should be n - 1.
+    scalar choices are irrelevant, and reach masks from each source cover
+    every chain); randomized coefficient matrices between random sums
+    otherwise.  The report also carries the longest nonzero radical chain
+    length found, which should be n - 1.  In exhaustive mode ``chains`` is
+    the number of length-n basis chains and each nonzero composite is listed
+    once per (source, target) pair.
     """
     _require_linear(A)
     n = A.n
     report: dict = {"n": n, "nonzero_composites": [], "mode": "exhaustive" if n <= 5 else "random"}
     if n <= 5:
         indecs = indecomposables(A)
-        edges: dict[Uniserial, list[Uniserial]] = {u: [] for u in indecs}
-        for x in indecs:
-            for y in indecs:
-                if x != y and hom_dim(A, x, y):
-                    edges[x].append(y)
+        ends, _, out_of = _chain_tables(A)
+        # with nothing killing them, the defined entries are the nonzero homs;
+        # the radical basis maps are those minus the identities
+        step = [s & ~(1 << x) for x, s in enumerate(_edge_masks(out_of, 0))]
         longest = 0
-        checked = 0
-
-        def walk(start: Uniserial, cur: Uniserial, depth: int) -> None:
-            nonlocal longest, checked
-            nonzero = start.top_vertex <= interval_end(A, cur)
-            if depth and nonzero:
-                longest = max(longest, depth)
-            if depth == n:
-                checked += 1
-                if nonzero:
-                    report["nonzero_composites"].append((start, cur, depth))
-                return
-            for nxt in edges[cur]:
-                walk(start, nxt, depth + 1)
-
-        for start in indecs:
-            walk(start, start, 0)
-        report["chains"] = checked
+        for s, start in enumerate(indecs):
+            reach = 1 << s
+            for depth in range(1, n + 1):
+                reach = _advance(step, reach)
+                hits = [c for c in _bits(reach) if start.top_vertex <= ends[c]]
+                if hits:
+                    longest = max(longest, depth)
+                if depth == n:
+                    report["nonzero_composites"].extend((start, indecs[c], n) for c in hits)
+        walks = [1] * len(indecs)  # walks[x]: basis chains of the current length ending at x
+        for _ in range(n):
+            nxt = [0] * len(indecs)
+            for x, count in enumerate(walks):
+                for y in _bits(step[x]):
+                    nxt[y] += count
+            walks = nxt
+        report["chains"] = sum(walks)
         report["longest_nonzero"] = longest
         return report
 

@@ -172,17 +172,22 @@ class SpiClass(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An integer proper: bool is an int subclass, but true is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_descriptor(desc: AlgebraDescriptor) -> None:
     if desc.shape not in (LINEAR, CYCLIC):
         raise InputError(f"shape must be '{LINEAR}' or '{CYCLIC}', got {desc.shape!r}")
-    if not isinstance(desc.n, int) or desc.n < 1:
+    if not _is_int(desc.n) or desc.n < 1:
         raise InputError(f"n must be a positive integer, got {desc.n!r}")
     rel = desc.relation
     if rel is None:
         if desc.shape == CYCLIC:
             raise InputError("a cyclic quiver needs a relation (the path algebra is infinite dimensional)")
         return
-    if not isinstance(rel.start, int) or not isinstance(rel.length, int):
+    if not _is_int(rel.start) or not _is_int(rel.length):
         raise InputError("relation start/length must be integers")
     if rel.length < 2:
         raise InputError(f"relation length must be >= 2 (admissibility), got {rel.length}")
@@ -441,10 +446,12 @@ def descriptor_from_dict(data: dict) -> AlgebraDescriptor:
     relation = None
     if rel_data is not None:
         try:
-            relation = Relation(start=int(rel_data["start"]), length=int(rel_data["length"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            relation = Relation(start=rel_data["start"], length=rel_data["length"])
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad relation object {rel_data!r}") from exc
-    if not isinstance(n, int):
+        if not (_is_int(relation.start) and _is_int(relation.length)):
+            raise InputError(f"relation start/length must be integers, got {rel_data!r}")
+    if not _is_int(n):
         raise InputError(f"n must be an integer, got {n!r}")
     return AlgebraDescriptor(shape=shape, n=n, relation=relation)
 

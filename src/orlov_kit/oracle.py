@@ -439,15 +439,21 @@ def ext_dim_oracle(A: Algebra, quot: Uniserial, sub: Uniserial) -> int:
     return len(_pair_ext_generators(A, quot, sub))
 
 
-def _build_middle(A: Algebra, U: ModuleSum, V: ModuleSum, theta) -> MatRep:
-    """X = [[U, 0], [theta, V]]: U-basis first at every vertex."""
-    u_at, _ = _layout(A, U)
-    v_at, _ = _layout(A, V)
+def _build_middle(A: Algebra, U: ModuleSum, V: ModuleSum, pairs, bits: int) -> MatRep:
+    """X = [[U, 0], [theta, V]]: U-basis first at every vertex, with theta the
+    XOR of the embedded generators of the ``pairs`` selected by ``bits``."""
     Urep = to_matrep(A, U)
     Vrep = to_matrep(A, V)
+    arrows = _arrow_list(A)
+    theta = [[0] * Vrep.dims[a - 1] for a, _ in arrows]
+    for idx, (_, _, embedded) in enumerate(pairs):
+        if bits >> idx & 1:
+            for k, block in enumerate(embedded):
+                for r, row in enumerate(block):
+                    theta[k][r] ^= row
     dims = tuple(Urep.dims[i] + Vrep.dims[i] for i in range(A.n))
     mats = []
-    for k, (a, b) in enumerate(_arrow_list(A)):
+    for k, (a, b) in enumerate(arrows):
         du = Urep.dims[b - 1]
         rows = [Urep.arrows[k][p] for p in range(Urep.dims[a - 1])]
         for r in range(Vrep.dims[a - 1]):
@@ -510,19 +516,9 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     if V.dim + U.dim > cap:
         raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")
     pairs = _ext_pair_structure(A, V, U)
-    arrows = _arrow_list(A)
-    Vdims = to_matrep(A, V).dims
-    out = set()
-    for bits in range(1 << len(pairs)):
-        theta = [list([0] * Vdims[a - 1]) for (a, b) in arrows]
-        for idx, (_, _, embedded) in enumerate(pairs):
-            if bits >> idx & 1:
-                for k in range(len(arrows)):
-                    for r, row in enumerate(embedded[k]):
-                        theta[k][r] ^= row
-        X = _build_middle(A, U, V, tuple(tuple(r) for r in theta))
-        out.add(decompose(X))
-    return frozenset(out)
+    return frozenset(
+        decompose(_build_middle(A, U, V, pairs, bits)) for bits in range(1 << len(pairs))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +566,6 @@ def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int, memo:
     if V.dim + U.dim > cap:
         raise RefusalError(f"dimension {V.dim + U.dim} exceeds cap {cap}")
     pairs = _ext_pair_structure(A, V, U)
-    arrows = _arrow_list(A)
-    Vdims = to_matrep(A, V).dims
     union: set[Uniserial] = set(V.summands) | set(U.summands)
     seen_patterns = set()
     for bits in range(1, 1 << len(pairs)):
@@ -583,14 +577,7 @@ def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int, memo:
         if key in memo:
             union |= memo[key]
             continue
-        theta = [list([0] * Vdims[a - 1]) for (a, b) in arrows]
-        for idx, (_, _, embedded) in enumerate(pairs):
-            if bits >> idx & 1:
-                for k in range(len(arrows)):
-                    for r, row in enumerate(embedded[k]):
-                        theta[k][r] ^= row
-        X = _build_middle(A, U, V, tuple(tuple(r) for r in theta))
-        summands = frozenset(decompose(X).summands)
+        summands = frozenset(decompose(_build_middle(A, U, V, pairs, bits)).summands)
         memo[key] = summands
         union |= summands
     return frozenset(union)

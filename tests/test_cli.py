@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from orlov_kit import cli
 from orlov_kit.cli import (
     DEFAULT_SEED,
     EXIT_INPUT,
@@ -22,6 +24,15 @@ LIN4 = _fixture_path("linear4.json")
 LIN5 = _fixture_path("linear5.json")
 LIN3AB = _fixture_path("linear3_ab.json")
 CYC = _fixture_path("cyclic4_rel20.json")
+
+#: stdout of the commands checked below, captured before the chain-search and
+#: closure refactor.  A refactor must leave these bytes unchanged; a change
+#: that alters the output on purpose rewrites the file from the new stdout.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +71,16 @@ def test_algebra_summary_cyclic(capsys):
     assert payload["loewy_length"] == 23
     assert payload["indecomposables"] == 86
     assert payload["global_dimension"] == "infinite"
+
+
+def test_algebra_counts_without_materializing(capsys, monkeypatch):
+    expected = run_json(capsys, "algebra", "--algebra", CYC)
+
+    def refuse(A):
+        raise AssertionError("algebra summary must not list the indecomposables")
+
+    monkeypatch.setattr(cli, "indecomposables", refuse)
+    assert run_json(capsys, "algebra", "--algebra", CYC) == expected
 
 
 def test_indec_listing(capsys):
@@ -116,6 +137,11 @@ def test_ospec_and_jobs_determinism(capsys):
     code, again, _ = run_cli(capsys, "ospec", "--algebra", LIN3, "--jobs", "3")
     assert code == EXIT_OK
     assert again == first  # byte-identical across worker counts
+    assert first == golden("ospec_linear3.json")
+
+    code, out, _ = run_cli(capsys, "ospec", "--algebra", LIN3AB)
+    assert code == EXIT_OK
+    assert out == golden("ospec_linear3_ab.json")
 
 
 def test_ospec_refusal_exit_code(capsys, tmp_path):
@@ -172,9 +198,12 @@ def test_coghost_listing(capsys):
 
 
 def test_coghost_lemma_sweep(capsys):
-    payload = run_json(capsys, "coghost-lemma", "--algebra", LIN3, "--nmax", "3")
+    code, out, err = run_cli(capsys, "coghost-lemma", "--algebra", LIN3, "--nmax", "3")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
     assert payload["subsets_checked"] == 63
     assert payload["ok"] is True and payload["violations"] == []
+    assert out == golden("coghost_lemma_linear3_nmax3.json")
 
 
 def test_coghost_lemma_refuses_large(capsys):
@@ -226,6 +255,7 @@ def test_verify_table_passes_and_is_deterministic(capsys):
 
     code, again, _ = run_cli(capsys, "verify")
     assert code == EXIT_OK and again == first
+    assert first == golden("verify.json")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +272,19 @@ def test_bad_module_literal_is_input_error(capsys):
 def test_missing_algebra_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "algebra", "--algebra", str(tmp_path / "nope.json"))
     assert code == EXIT_INPUT and "error" in err
+
+
+def test_non_integer_descriptor_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for desc in (
+        {"shape": "linear", "n": True, "relation": None},
+        {"shape": "linear", "n": 4, "relation": {"start": 1, "length": 2.9}},
+        {"shape": "linear", "n": 4, "relation": {"start": "1", "length": 2}},
+        {"shape": "linear", "n": 4, "relation": {"start": 1, "length": True}},
+    ):
+        path.write_text(json.dumps(desc))
+        code, out, err = run_cli(capsys, "algebra", "--algebra", str(path))
+        assert code == EXIT_INPUT and out == "" and "error" in err, desc
 
 
 def test_unknown_command_is_usage_error(capsys):

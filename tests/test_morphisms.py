@@ -11,10 +11,13 @@ from orlov_kit import (
     InputError,
     ModuleSum,
     Uniserial,
+    bracket_n,
     coghost_chain_exists,
     coghost_lemma_check,
     compose,
+    fac_closure,
     find_coghost_chain,
+    ghost_chain_exists,
     hom_dim,
     indecomposables,
     irreducible_coghosts,
@@ -36,6 +39,8 @@ from orlov_kit.morphisms import (
     is_radical_morphism,
     zero_morphism,
 )
+
+from conftest import all_linear_algebras
 
 
 def simples_set(A) -> IndecSet:
@@ -198,10 +203,25 @@ def test_chain_search_matches_witness_finder(linear):
             assert is_coghost(A, basis_morphism(A, src, tgt), T)
 
 
+def test_ghost_chain_search_matches_fac_levels(linear):
+    rng = random.Random(5)
+    for A in (linear(3), linear(4)):
+        indecs = indecomposables(A)
+        full = (1 << len(indecs)) - 1
+        for _ in range(120):
+            T = IndecSet(A, rng.randrange(1, full + 1))
+            X = indecs[rng.randrange(len(indecs))]
+            n = rng.randint(1, 4)
+            level = bracket_n(A, fac_closure(A, T), n)
+            assert ghost_chain_exists(A, T, X, n) == (X not in level), (T.mask, X, n)
+
+
 def test_chain_length_validation(linear):
     A = linear(3)
     with pytest.raises(InputError):
         coghost_chain_exists(A, simples_set(A), simple(A, 1), 0)
+    with pytest.raises(InputError):
+        ghost_chain_exists(A, simples_set(A), simple(A, 1), 0)
 
 
 def test_coghost_lemma_small_cases(linear):
@@ -229,13 +249,35 @@ def test_explicit_radical_chain(linear):
     assert not composite.is_zero  # n - 1 radical steps can survive
 
 
-def test_radical_nilpotence_exhaustive(linear):
-    for n in (2, 4):
-        report = radical_nilpotence_check(linear(n))
-        assert report["mode"] == "exhaustive"
-        assert report["nonzero_composites"] == []
-        assert report["longest_nonzero"] == n - 1
-        assert report["chains"] > 0
+#: length-n basis chains of radical maps, keyed by (n, relation start,
+#: relation length), with (n, None, None) the hereditary line
+RADICAL_CHAIN_COUNTS = {
+    (2, None, None): 1, (2, 1, 2): 1,
+    (3, None, None): 7, (3, 1, 2): 3, (3, 1, 3): 7, (3, 2, 2): 7,
+    (4, None, None): 55, (4, 1, 2): 19, (4, 1, 3): 40, (4, 1, 4): 55,
+    (4, 2, 2): 19, (4, 2, 3): 55, (4, 3, 2): 55,
+    (5, None, None): 446, (5, 1, 2): 139, (5, 1, 3): 279, (5, 1, 4): 390,
+    (5, 1, 5): 446, (5, 2, 2): 103, (5, 2, 3): 279, (5, 2, 4): 446,
+    (5, 3, 2): 139, (5, 3, 3): 446, (5, 4, 2): 446,
+}
+
+
+def test_radical_nilpotence_exhaustive():
+    seen = set()
+    for n in range(2, 6):
+        for A in all_linear_algebras(n):
+            rel = A.relation
+            key = (n, rel.start, rel.length) if rel else (n, None, None)
+            seen.add(key)
+            report = radical_nilpotence_check(A)
+            assert report == {
+                "n": n,
+                "nonzero_composites": [],
+                "mode": "exhaustive",
+                "chains": RADICAL_CHAIN_COUNTS[key],
+                "longest_nonzero": n - 1,
+            }, key
+    assert seen == set(RADICAL_CHAIN_COUNTS)
 
 
 def test_radical_nilpotence_random(linear):

@@ -61,6 +61,11 @@ def test_indecomposable_counts(linear, linear3_ab, cyclic_fixture):
     assert len(indecomposables(linear(4))) == 10
     assert len(indecomposables(linear3_ab)) == 5
     assert len(indecomposables(cyclic_fixture)) == 86
+    # one uniserial per (top, length), so the count is sum(kupisch)
+    for n in range(1, 7):
+        for A in all_linear_algebras(n):
+            assert len(indecomposables(A)) == A.dimension, A
+    assert len(indecomposables(cyclic_fixture)) == cyclic_fixture.dimension
 
 
 def test_rejects_bad_descriptors():
@@ -74,6 +79,16 @@ def test_rejects_bad_descriptors():
         build_algebra(LINEAR, 3, Relation(3, 2))  # path runs off the quiver
     with pytest.raises(InputError):
         build_algebra(CYCLIC, 3, None)  # infinite dimensional
+    for n, relation in (
+        (True, None),  # bool is an int subclass, not a vertex count
+        (3.0, None),
+        ("3", None),
+        (3, Relation(True, 2)),
+        (3, Relation(1, 2.0)),
+        (3, Relation("1", 2)),
+    ):
+        with pytest.raises(InputError):
+            build_algebra(LINEAR, n, relation)
 
 
 def test_kupisch_entry_point_validates():
@@ -200,6 +215,19 @@ def test_descriptor_round_trip():
         descriptor_from_dict({"shape": "linear"})
     with pytest.raises(InputError):
         descriptor_from_dict({"shape": "linear", "n": "four"})
+    # no coercion: bools, floats and numeric strings are refused, not cast
+    for bad in (
+        {"shape": "linear", "n": True},
+        {"shape": "linear", "n": 3.0},
+        {"shape": "linear", "n": "3"},
+        {"shape": "linear", "n": 3, "relation": {"start": 1, "length": 2.9}},
+        {"shape": "linear", "n": 3, "relation": {"start": "1", "length": 2}},
+        {"shape": "linear", "n": 3, "relation": {"start": 1, "length": True}},
+        {"shape": "linear", "n": 3, "relation": {"start": 1}},
+        {"shape": "linear", "n": 3, "relation": [1, 2]},
+    ):
+        with pytest.raises(InputError):
+            descriptor_from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
