@@ -2,11 +2,11 @@
 
 Over a linear-shape algebra every hom space between indecomposables is 0- or
 1-dimensional, so a morphism between sums is just a coefficient matrix over
-the canonical basis maps (exact rationals; every predicate below only cares
-about zero patterns).  The canonical basis map M_[a,b] -> M_[c,d] collapses
-the source onto the overlap and includes it; composing two of them gives the
-canonical map again exactly when the source's top stays inside the final
-window:
+the canonical basis maps (integers: nothing divides, and every predicate
+below only cares about zero patterns).  The canonical basis map
+M_[a,b] -> M_[c,d] collapses the source onto the overlap and includes it;
+composing two of them gives the canonical map again exactly when the
+source's top stays inside the final window:
 
     [a,b] -> [c,d] -> [e,f]   is canonical [a,b] -> [e,f]  iff  a <= f,
                               and zero otherwise.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .closure import IndecSet, _bits, bracket_n, fac_closure, sub_closure
@@ -38,6 +37,7 @@ from .nakayama import (
     InputError,
     ModuleSum,
     Uniserial,
+    _is_int,
     indec_index,
     indecomposables,
     simple,
@@ -51,9 +51,9 @@ class Morphism:
 
     source: ModuleSum
     target: ModuleSum
-    coefficients: tuple[tuple[Fraction, ...], ...]
+    coefficients: tuple[tuple[int, ...], ...]
 
-    def entry(self, s: int, t: int) -> Fraction:
+    def entry(self, s: int, t: int) -> int:
         return self.coefficients[s][t]
 
     @property
@@ -71,9 +71,10 @@ def morphism(A: Algebra, source: ModuleSum, target: ModuleSum, entries: dict) ->
     _require_linear(A)
     validate_module(A, source)
     validate_module(A, target)
-    coeff = [[Fraction(0)] * len(target) for _ in range(len(source))]
+    coeff = [[0] * len(target) for _ in range(len(source))]
     for (s, t), value in entries.items():
-        value = Fraction(value)
+        if not _is_int(value):
+            raise InputError(f"morphism coefficients must be integers, got {value!r}")
         if not value:
             continue
         if hom_dim(A, source.summands[s], target.summands[t]) == 0:
@@ -119,12 +120,9 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         row = []
         for u, tgt in enumerate(g.target.summands):
             if src.top_vertex <= tgt.top_vertex + tgt.length - 1:
-                total = sum(
-                    (f.coefficients[s][t] * g.coefficients[t][u] for t in range(len(f.target))),
-                    Fraction(0),
-                )
+                total = sum(f.coefficients[s][t] * g.coefficients[t][u] for t in range(len(f.target)))
             else:
-                total = Fraction(0)
+                total = 0
             row.append(total)
         rows.append(tuple(row))
     return Morphism(f.source, g.target, tuple(rows))
@@ -288,6 +286,8 @@ def ghost_chain_exists(A: Algebra, T: IndecSet, X: Uniserial, n: int) -> bool:
 
 def find_coghost_chain(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> tuple[Uniserial, ...] | None:
     """One witnessing chain (A_n, ..., A_1, Y) with nonzero composite, if any."""
+    if n < 1:
+        raise InputError(f"chain length must be >= 1, got {n}")
     ends, into, _ = _chain_tables(A)
     step = _edge_masks(into, T.mask)
     indecs = indecomposables(A)

@@ -439,11 +439,10 @@ def ext_dim_oracle(A: Algebra, quot: Uniserial, sub: Uniserial) -> int:
     return len(_pair_ext_generators(A, quot, sub))
 
 
-def _build_middle(A: Algebra, U: ModuleSum, V: ModuleSum, pairs, bits: int) -> MatRep:
+def _build_middle(Urep: MatRep, Vrep: MatRep, pairs, bits: int) -> MatRep:
     """X = [[U, 0], [theta, V]]: U-basis first at every vertex, with theta the
     XOR of the embedded generators of the ``pairs`` selected by ``bits``."""
-    Urep = to_matrep(A, U)
-    Vrep = to_matrep(A, V)
+    A = Urep.algebra
     arrows = _arrow_list(A)
     theta = [[0] * Vrep.dims[a - 1] for a, _ in arrows]
     for idx, (_, _, embedded) in enumerate(pairs):
@@ -463,12 +462,14 @@ def _build_middle(A: Algebra, U: ModuleSum, V: ModuleSum, pairs, bits: int) -> M
 
 
 def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
-    """Summand pairs (i, j) with nonvanishing Ext^1(V_i, U_j) and their
+    """(Urep, Vrep, pairs): the two ends' representations, built once, and
+    the summand pairs (i, j) with nonvanishing Ext^1(V_i, U_j) with their
     connecting-data generators embedded at the right block offsets."""
     _, v_pos = _layout(A, V)
     _, u_pos = _layout(A, U)
     arrows = _arrow_list(A)
-    Vrep_dims = to_matrep(A, V).dims
+    Urep = to_matrep(A, U)
+    Vrep = to_matrep(A, V)
     pairs = []
     for i, v in enumerate(V.summands):
         for j, u in enumerate(U.summands):
@@ -476,10 +477,9 @@ def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
             if not gens:
                 continue
             (gen,) = gens  # linear shapes: ext is at most one dimensional
-            small_u = to_matrep(A, u)
             embedded = []
             for k, (a, b) in enumerate(arrows):
-                rows = [0] * Vrep_dims[a - 1]
+                rows = [0] * Vrep.dims[a - 1]
                 for t in range(v.length):
                     if A.step(v.top_vertex, t) != a:
                         continue
@@ -491,7 +491,7 @@ def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
                     rows[v_pos[(i, t)]] = big
                 embedded.append(tuple(rows))
             pairs.append((i, j, tuple(embedded)))
-    return pairs
+    return Urep, Vrep, pairs
 
 
 def _small_pos(A: Algebra, u: Uniserial, vertex: int, t: int) -> int:
@@ -499,13 +499,29 @@ def _small_pos(A: Algebra, u: Uniserial, vertex: int, t: int) -> int:
     return sum(1 for t2 in range(t) if A.step(u.top_vertex, t2) == vertex)
 
 
+def _canonical_pattern(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> tuple:
+    """Sound dedup key: permuting equal summands on either side is an
+    isomorphism of the pair, hence preserves the middle's class.  Sort rows
+    by (V summand, row bits), then columns by (U summand, column bits in the
+    new row order); both sorts only permute equal summands.
+    """
+    grid = {(i, j): bits >> idx & 1 for idx, (i, j, _) in enumerate(pairs)}
+    nu = len(U.summands)
+    rows = sorted(
+        range(len(V.summands)),
+        key=lambda i: (V.summands[i], tuple(grid.get((i, j), 0) for j in range(nu))),
+    )
+    cols = sorted(range(nu), key=lambda j: (U.summands[j], tuple(grid.get((i, j), 0) for i in rows)))
+    return tuple(tuple(grid.get((i, j), 0) for j in cols) for i in rows)
+
+
 def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> frozenset[ModuleSum]:
     """All middles of 0 -> U -> X -> V -> 0, decomposed, over GF(2).
 
     Extension classes decompose blockwise over summand pairs (the path
     constraints and coboundaries never couple distinct blocks), so classes
-    are enumerated as bit patterns over the pairs with nonzero ext.  The
-    zero pattern contributes U + V itself.
+    are enumerated as bit patterns over the pairs with nonzero ext, one per
+    ``_canonical_pattern`` key.  The zero pattern contributes U + V itself.
     """
     if not A.is_linear:
         raise InputError("middle terms are enumerated for linear shapes only")
@@ -515,10 +531,20 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     validate_module(A, U)
     if V.dim + U.dim > cap:
         raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")
-    pairs = _ext_pair_structure(A, V, U)
-    return frozenset(
-        decompose(_build_middle(A, U, V, pairs, bits)) for bits in range(1 << len(pairs))
-    )
+    Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+    middles = {U + V}
+    seen_patterns = set()
+    for bits in range(1, 1 << len(pairs)):
+        pattern = _canonical_pattern(V, U, pairs, bits)
+        if pattern not in seen_patterns:
+            seen_patterns.add(pattern)
+            middles.add(decompose(_build_middle(Urep, Vrep, pairs, bits)))
+    return frozenset(middles)
+
+
+def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int) -> frozenset[Uniserial]:
+    """Union of indecomposable summands over every middle of (V, U)."""
+    return frozenset(u for X in middle_terms(A, V, U, cap) for u in X.summands)
 
 
 # ---------------------------------------------------------------------------
@@ -537,52 +563,6 @@ def _multisets(A: Algebra, max_support: int, max_mult: int, max_dim: int):
                     yield M
 
 
-def _canonical_pattern(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> tuple:
-    """Sound dedup key: permuting equal summands on either side is an
-    isomorphism of the pair, hence preserves the middle's class; sort rows
-    within equal-V groups and columns within equal-U groups to a fixpoint.
-    """
-    grid = {(i, j): bits >> idx & 1 for idx, (i, j, _) in enumerate(pairs)}
-    rows = list(range(len(V.summands)))
-    cols = list(range(len(U.summands)))
-
-    def row_key(i):
-        return (V.summands[i], tuple(grid.get((i, j), 0) for j in cols))
-
-    def col_key(j):
-        return (U.summands[j], tuple(grid.get((i, j), 0) for i in rows))
-
-    for _ in range(6):
-        new_rows = sorted(rows, key=row_key)
-        new_cols = sorted(cols, key=col_key)
-        if new_rows == rows and new_cols == cols:
-            break
-        rows, cols = new_rows, new_cols
-    return tuple(tuple(grid.get((i, j), 0) for j in cols) for i in rows)
-
-
-def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int, memo: dict) -> frozenset[Uniserial]:
-    """Union of indecomposable summands over every middle of (V, U)."""
-    if V.dim + U.dim > cap:
-        raise RefusalError(f"dimension {V.dim + U.dim} exceeds cap {cap}")
-    pairs = _ext_pair_structure(A, V, U)
-    union: set[Uniserial] = set(V.summands) | set(U.summands)
-    seen_patterns = set()
-    for bits in range(1, 1 << len(pairs)):
-        pattern = _canonical_pattern(V, U, pairs, bits)
-        if pattern in seen_patterns:
-            continue
-        seen_patterns.add(pattern)
-        key = (V, U, pattern)
-        if key in memo:
-            union |= memo[key]
-            continue
-        summands = frozenset(decompose(_build_middle(A, U, V, pairs, bits)).summands)
-        memo[key] = summands
-        union |= summands
-    return frozenset(union)
-
-
 def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support: int = 2) -> dict:
     """Exhaustive star-vs-middles comparison, grouped by support pair.
 
@@ -596,7 +576,6 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
     """
     mismatches = []
     checked = 0
-    memo: dict = {}
     modules = list(_multisets(A, max_support, max_mult, cap))
     by_support: dict = {}
     for V in modules:
@@ -604,7 +583,7 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
             if V.dim + U.dim > cap:
                 continue
             checked += 1
-            got = middle_summand_union(A, V, U, cap, memo)
+            got = middle_summand_union(A, V, U, cap)
             key = (frozenset(V.summands), frozenset(U.summands))
             by_support.setdefault(key, set()).update(got)
     for (supp_v, supp_u), union in sorted(by_support.items(), key=repr):

@@ -25,8 +25,9 @@ LIN5 = _fixture_path("linear5.json")
 LIN3AB = _fixture_path("linear3_ab.json")
 CYC = _fixture_path("cyclic4_rel20.json")
 
-#: stdout of the commands checked below, captured before the chain-search and
-#: closure refactor.  A refactor must leave these bytes unchanged; a change
+#: stdout of the commands checked below, each captured before a refactor of
+#: the code behind it (the chain searches and closures; the oracle's middle
+#: enumeration).  A refactor must leave these bytes unchanged; a change
 #: that alters the output on purpose rewrites the file from the new stdout.
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,9 +241,12 @@ def test_arquiver_json(capsys):
 
 
 def test_oracle_verify(capsys):
-    payload = run_json(capsys, "oracle", "verify", "--algebra", LIN3, "--cap", "10")
+    code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", LIN3, "--cap", "10")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
     assert payload["ok"] is True
     assert all(check["ok"] for check in payload["checks"])
+    assert out == golden("oracle_verify_linear3_cap10.json")
 
 
 def test_verify_table_passes_and_is_deterministic(capsys):

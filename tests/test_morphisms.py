@@ -63,6 +63,10 @@ def test_morphism_requires_hom_support(linear):
         )
     assert zero_morphism(A, ModuleSum.of(Uniserial(1, 2)), ModuleSum.of(simple(A, 1))).is_zero
     assert not identity_morphism(A, ModuleSum.of(Uniserial(1, 2), simple(A, 3))).is_zero
+    # coefficients are integers: fractional, boolean and string scalars are refused
+    for bad in (0.5, 1.0, True, "1"):
+        with pytest.raises(InputError):
+            morphism(A, ModuleSum.of(Uniserial(1, 2)), ModuleSum.of(simple(A, 1)), {(0, 0): bad})
 
 
 def test_compose_endpoint_rule(linear):
@@ -222,6 +226,9 @@ def test_chain_length_validation(linear):
         coghost_chain_exists(A, simples_set(A), simple(A, 1), 0)
     with pytest.raises(InputError):
         ghost_chain_exists(A, simples_set(A), simple(A, 1), 0)
+    for n in (0, -2):
+        with pytest.raises(InputError):
+            find_coghost_chain(A, simples_set(A), simple(A, 1), n)
 
 
 def test_coghost_lemma_small_cases(linear):

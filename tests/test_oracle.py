@@ -26,6 +26,10 @@ from orlov_kit import (
 )
 from orlov_kit.oracle import (
     MatRep,
+    _build_middle,
+    _canonical_pattern,
+    _ext_pair_structure,
+    _multisets,
     decompose,
     ext_dim_oracle,
     gf2_nullspace,
@@ -241,6 +245,34 @@ def test_middle_dimensions_are_exact(linear):
             assert mid.dim == V.dim + U.dim
 
 
+def test_middle_terms_dedup_matches_every_pattern(linear):
+    # _canonical_pattern skips patterns that permute equal summands.  On a
+    # seeded sample of sweep pairs with at least two ext pairs, decompose
+    # every bit pattern: patterns sharing a key must share their middle, and
+    # middle_terms must return exactly the middles of all patterns.
+    rng = random.Random(9)
+    merged = 0
+    for A, max_mult in ((linear(3), 3), (linear(4), 2)):
+        modules = list(_multisets(A, 2, max_mult, 12))
+        sampled = 0
+        while sampled < 120:
+            V, U = rng.choice(modules), rng.choice(modules)
+            if V.dim + U.dim > 12:
+                continue
+            Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+            if len(pairs) < 2:
+                continue
+            sampled += 1
+            by_key: dict = {}
+            for bits in range(1 << len(pairs)):
+                middle = decompose(_build_middle(Urep, Vrep, pairs, bits))
+                by_key.setdefault(_canonical_pattern(V, U, pairs, bits), set()).add(middle)
+            assert all(len(middles) == 1 for middles in by_key.values()), (A.kupisch, V, U)
+            assert middle_terms(A, V, U) == frozenset().union(*by_key.values()), (A.kupisch, V, U)
+            merged += len(by_key) < 1 << len(pairs)
+    assert merged > 0  # the key does merge patterns on this sample
+
+
 # ---------------------------------------------------------------------------
 # sweep and report
 # ---------------------------------------------------------------------------
@@ -249,7 +281,7 @@ def test_middle_dimensions_are_exact(linear):
 def test_star_sweep_small(linear):
     report = verify_star_sweep(linear(3), cap=10, max_mult=2, max_support=2)
     assert report["mismatches"] == []
-    assert report["pairs_checked"] > 0 and report["support_pairs"] > 0
+    assert (report["pairs_checked"], report["support_pairs"]) == (3574, 441)
 
 
 def test_oracle_report_linear(linear3_ab):
