@@ -20,6 +20,16 @@ produces, so star is computed exactly in three tiers:
   gives a set every true star member must lie in.
 * gap bits (ceiling minus floor) are decided one by one by an explicit
   witness search over F2 (`_realizable`), memoised per (left, right, bit).
+  Three exact rules bound its work per candidate:
+  (a) quotient multisets grow only while their dimension vector stays under
+      the middle's and their dimension below it; both conditions are
+      monotone in the multiset, so pruning at a prefix loses no candidate;
+  (b) a map g: X -> V is onto iff it is onto on tops (Nakayama's lemma), a
+      rank test on the maps between windows with a common top vertex;
+  (c) g acts vertex by vertex, so ker g has a basis of vectors that each
+      live at one vertex; the multiplicity of a kernel window [a, b] comes
+      from ranks of the kernels at a and a - 1 masked to the windows of X
+      that reach b and b + 1.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
 monotone and stabilises after at most #indecomposables steps.
@@ -191,12 +201,17 @@ def fac_closure(A: Algebra, T: IndecSet) -> IndecSet:
 #: Ambient dimension horizon for gap-bit witness searches.  A gap bit counts
 #: as a star member only on an explicit extension witness of total dimension
 #: at most this; the pairwise floor needs no witness, so the horizon only
-#: limits how baroque a liberating direct-sum extension may get.
+#: limits how baroque a liberating direct-sum extension may get.  The full
+#: horizon is this dimension, _SEARCH_PIECES summands of the middle,
+#: _SEARCH_COPIES summands of its quotient and _SEARCH_HOM_PAIRS canonical
+#: maps per surjection search.
 STAR_SEARCH_DIM = 12
 
-#: Witness shape caps: summands of the searched middle / of its quotient.
+#: Witness shape caps: summands of the searched middle / of its quotient,
+#: and (middle summand, quotient summand) pairs with a nonzero map.
 _SEARCH_PIECES = 4
 _SEARCH_COPIES = 4
+_SEARCH_HOM_PAIRS = 16
 
 
 @lru_cache(maxsize=None)
@@ -301,148 +316,148 @@ def _rank_f2(rows) -> int:
     return rank
 
 
-def _nullspace_f2(rows: list[int], nvars: int) -> list[int]:
-    """Basis of the solution space of rows . x = 0 over F2 (x as bitmask).
-
-    Maintains reduced row echelon form: when a row lands on a fresh pivot,
-    that bit is cleared from every stored row, so each stored row carries its
-    pivot plus free-variable bits only and back-substitution is direct.
-    """
-    pivots: dict[int, int] = {}
-    for r in rows:
-        for p, row in pivots.items():
-            if r >> p & 1:
-                r ^= row
-        if r:
-            p = r.bit_length() - 1
-            for q in pivots:
-                if pivots[q] >> p & 1:
-                    pivots[q] ^= r
-            pivots[p] = r
-    out = []
-    for f in range(nvars):
-        if f in pivots:
-            continue
-        vec = 1 << f
-        for p, r in pivots.items():
-            if r >> f & 1:
-                vec |= 1 << p
-        out.append(vec)
-    return out
+#: Dimension vectors are packed one field per vertex.  A dimension vector
+#: under a middle's has fields <= STAR_SEARCH_DIM, one window more adds at
+#: most 1, and the field's top bit stays clear as a guard for domination.
+_FIELD = (STAR_SEARCH_DIM + 1).bit_length() + 1
 
 
-def _left_feasible(vec: tuple[int, ...], left_wins: tuple[tuple[int, int], ...], memo: dict) -> bool:
-    """Whether vec is a sum of left windows (as vertex-dimension vectors)."""
-    if vec in memo:
-        return memo[vec]
-    pos = next((i for i, x in enumerate(vec) if x), None)
-    if pos is None:
+def _packed(windows) -> int:
+    """Packed dimension vector of a direct sum of windows."""
+    return sum(1 << _FIELD * (v - 1) for a, b in windows for v in range(a, b + 1))
+
+
+def _fits(small: int, big: int, guard: int) -> bool:
+    """Componentwise small <= big for packed vectors; guard has every field's
+    guard bit.  No field borrows, so a cleared guard bit marks a shortfall."""
+    return ((big | guard) - small) & guard == guard
+
+
+def _left_feasible(u: int, left_at: dict[int, list[int]], guard: int, memo: dict) -> bool:
+    """Whether the packed vector u is a sum of left windows: the lowest vertex
+    of u must be the top of one of them, and the rest must be feasible."""
+    if not u:
         return True
-    ok = False
-    for a, b in left_wins:
-        if a - 1 == pos and all(vec[i] >= 1 for i in range(a - 1, b)):
-            nxt = list(vec)
-            for i in range(a - 1, b):
-                nxt[i] -= 1
-            if _left_feasible(tuple(nxt), left_wins, memo):
-                ok = True
-                break
-    memo[vec] = ok
+    if u in memo:
+        return memo[u]
+    pos = ((u & -u).bit_length() - 1) // _FIELD
+    ok = any(_fits(w, u, guard) and _left_feasible(u - w, left_at, guard, memo) for w in left_at.get(pos, ()))
+    memo[u] = ok
     return ok
 
 
-def _kernel_in_add(n: int, X, xb, ker, left_wins) -> bool:
-    """Whether the kernel (basis ``ker`` over the xb columns) is in add(left).
-
-    The kernel of a window-map is itself a direct sum of windows; their
-    multiplicities fall out of the ranks of the path actions K_a -> X_b via
-    inclusion-exclusion, and each window with positive multiplicity must be a
-    left window.
+def _quotients(right, x_packed: int, dim_x: int, guard: int):
+    """Yield (multiset, packed vector) for multisets of 1.._SEARCH_COPIES
+    right windows whose vector is <= X's and whose dimension is < dim X, by
+    size, then in combinations_with_replacement order.  ``right`` holds
+    (window, packed, dimension) sorted by window.  Both conditions only fail
+    more as windows are added, so a multiset is extended only while it fits.
     """
-    inv = {col: key for key, col in xb.items()}
-
-    def path_rank(a: int, b: int) -> int:
-        if a < 1 or b > n:
-            return 0
-        vecs = []
-        for vec in ker:
-            out = 0
-            bits = vec
-            while bits:
-                low = bits & -bits
-                i, v = inv[low.bit_length() - 1]
-                bits ^= low
-                if v == a and X[i][1] >= b:
-                    out |= 1 << xb[(i, b)]
-            vecs.append(out)
-        return _rank_f2(vecs)
-
-    ranks: dict[tuple[int, int], int] = {}
-    for a in range(0, n + 2):
-        for b in range(a, n + 2):
-            if 1 <= a and b <= n:
-                ranks[(a, b)] = path_rank(a, b)
-            else:
-                ranks[(a, b)] = 0
-    left_set = set(left_wins)
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            mult = ranks[(a, b)] - ranks[(a - 1, b)] - ranks[(a, b + 1)] + ranks[(a - 1, b + 1)]
-            if mult < 0:
-                return False
-            if mult > 0 and (a, b) not in left_set:
-                return False
-    return True
+    level = [((), 0, 0, 0)]
+    for _ in range(_SEARCH_COPIES):
+        grown = []
+        for multi, packed, dim, first in level:
+            for t in range(first, len(right)):
+                win, w_packed, w_dim = right[t]
+                p = packed + w_packed
+                if dim + w_dim < dim_x and _fits(p, x_packed, guard):
+                    grown.append((multi + (win,), p, dim + w_dim, t))
+        yield from ((multi, packed) for multi, packed, _, _ in grown)
+        level = grown
 
 
-def _g_search(n: int, X, Vc, left_wins) -> bool:
+def _onto(X, Vc, chosen) -> bool:
+    """Whether g = sum of the chosen canonical maps X_i -> V_j is onto.
+
+    By Nakayama's lemma g is onto iff it is onto modulo radicals.  Top of X_i
+    lands in top of V_j only when both windows start at the same vertex, so
+    the test is rank |V| of that |V| x |X| matrix over F2.
+    """
+    cols = [0] * len(X)
+    for i, j in chosen:
+        if X[i][0] == Vc[j][0]:
+            cols[i] |= 1 << j
+    return _rank_f2(cols) == len(Vc)
+
+
+def _kernel_windows(X, Vc, chosen):
+    """Yield ((a, b), multiplicity) for the windows of ker g, a then b ascending.
+
+    g is a map of representations, so ker g is graded by vertex: K_v is the
+    nullspace of g at v, written over the windows X_i that contain v.  K is a
+    sum of windows, so r(a, b) = rank(K_a -> X_b) counts its windows with top
+    <= a and end >= b, and K_a -> X_b keeps exactly the windows X_i that
+    reach b.  t(b) = r(a, b) - r(a - 1, b) counts K's windows with top a and
+    end >= b, and t(b) - t(b + 1) is the multiplicity of [a, b].
+    """
+    lo = min(a for a, _ in X)
+    hi = max(b for _, b in X)
+    ker: dict[int, list[int]] = {}
+    for v in range(lo, hi + 1):
+        cols = [0] * len(X)
+        for i, j in chosen:
+            if X[i][0] <= v <= Vc[j][1]:
+                cols[i] |= 1 << j
+        basis: list[tuple[int, int]] = []
+        null: list[int] = []
+        for i, (a, b) in enumerate(X):
+            if a <= v <= b:
+                col, combo = cols[i], 1 << i
+                for b_col, b_combo in basis:
+                    if col ^ b_col < col:
+                        col ^= b_col
+                        combo ^= b_combo
+                if col:
+                    basis.append((col, combo))
+                else:
+                    null.append(combo)
+        ker[v] = null
+    reach = [0] * (hi + 2)  # reach[v]: the windows X_i that contain v
+    for i, (a, b) in enumerate(X):
+        for v in range(a, b + 1):
+            reach[v] |= 1 << i
+    for a in range(lo, hi + 1):
+        here, below = ker[a], ker.get(a - 1, ())
+        t = len(here) - _rank_f2([k & reach[a] for k in below])
+        b = a
+        while t:
+            t_next = _rank_f2([k & reach[b + 1] for k in here]) - _rank_f2([k & reach[b + 1] for k in below])
+            if t > t_next:
+                yield (a, b), t - t_next
+            t = t_next
+            b += 1
+
+
+def _g_search(X, Vc, left_set) -> bool:
     """Search surjections g: X -> Vc over F2 with ker g in add(left).
 
     Hom spaces between windows are at most one-dimensional, so every g is a
-    0/1 combination of the canonical overlap maps; enumerate those.
+    0/1 combination of the canonical overlap maps X_i -> V_j.  Only the maps
+    between windows with a common top decide surjectivity (``_onto``), so
+    those are chosen first and the rest only for a choice that is onto.
     """
-    xb: dict[tuple[int, int], int] = {}
-    for i, (a, b) in enumerate(X):
-        for v in range(a, b + 1):
-            xb[(i, v)] = len(xb)
-    vb: dict[tuple[int, int], int] = {}
-    for j, (c, d) in enumerate(Vc):
-        for v in range(c, d + 1):
-            vb[(j, v)] = len(vb)
-    m_x, m_v = len(xb), len(vb)
     hom_pairs = [
         (i, j)
         for i, (a, b) in enumerate(X)
         for j, (c, d) in enumerate(Vc)
         if c <= a <= d <= b
     ]
-    if not hom_pairs or len(hom_pairs) > 16:
+    if not hom_pairs or len(hom_pairs) > _SEARCH_HOM_PAIRS:
         return False
+    tops = [(i, j) for i, j in hom_pairs if X[i][0] == Vc[j][0]]
+    rest = [(i, j) for i, j in hom_pairs if X[i][0] != Vc[j][0]]
     # every copy's top needs a window starting exactly at it, else no g is onto
-    for j, (c, d) in enumerate(Vc):
-        if not any(X[i][0] == c for i, jj in hom_pairs if jj == j):
-            return False
-    for choice in range(1, 1 << len(hom_pairs)):
-        cols = [0] * m_x
-        for k in range(len(hom_pairs)):
-            if choice >> k & 1:
-                i, j = hom_pairs[k]
-                a = X[i][0]
-                d = Vc[j][1]
-                for v in range(a, d + 1):
-                    cols[xb[(i, v)]] |= 1 << vb[(j, v)]
-        if _rank_f2(list(cols)) != m_v:
-            continue
-        rows = [0] * m_v
-        for col in range(m_x):
-            bits = cols[col]
-            while bits:
-                low = bits & -bits
-                rows[low.bit_length() - 1] |= 1 << col
-                bits ^= low
-        ker = _nullspace_f2(rows, m_x)
-        if _kernel_in_add(n, X, xb, ker, left_wins):
-            return True
+    if len({j for _, j in tops}) < len(Vc):
+        return False
+    for size in range(1, len(tops) + 1):
+        for top_choice in itertools.combinations(tops, size):
+            if not _onto(X, Vc, top_choice):
+                continue
+            for r in range(len(rest) + 1):
+                for rest_choice in itertools.combinations(rest, r):
+                    kernel = _kernel_windows(X, Vc, top_choice + rest_choice)
+                    if all(win in left_set for win, _ in kernel):  # stops at the first non-left window
+                        return True
     return False
 
 
@@ -455,9 +470,18 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     Candidate middles are the gap window plus shape-legal pieces; quotient
     candidates are multisets of right windows dominated by the middle's
     dimension vector whose complement is assemblable from left windows.  Each
-    surviving pair goes to the F2 surjection search.
+    surviving pair goes to the F2 surjection search.  Three exact rules keep
+    the work per candidate small:
+
+    (a) ``_quotients`` extends a multiset only while it fits under X: adding
+        a window never shrinks a dimension vector or a dimension, so a prefix
+        that does not fit has no extension that fits.
+    (b) ``_onto`` decides surjectivity on tops before any kernel is built:
+        g(X) + rad V = V forces g(X) = V (Nakayama's lemma).
+    (c) ``_kernel_windows`` reads kernel multiplicities vertex by vertex: a
+        map of representations acts vertex by vertex, so its kernel vectors
+        are homogeneous in the vertex.
     """
-    n = A.n
     indecs = indecomposables(A)
     w = indecs[w_idx]
     w_win = (w.top_vertex, w.top_vertex + w.length - 1)
@@ -465,16 +489,18 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     piece_bits = floor | hull
     if not piece_bits >> w_idx & 1:
         return False
-    pieces = sorted(
-        (u.top_vertex, u.top_vertex + u.length - 1)
-        for u in (indecs[k] for k in _bits(piece_bits))
-    )
-    left_wins = tuple(
-        sorted((u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(left)))
-    )
-    right_wins = sorted(
-        (u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(right))
-    )
+
+    def windows(mask: int):
+        return sorted((u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(mask)))
+
+    pieces = windows(piece_bits)
+    left_wins = windows(left)
+    left_set = frozenset(left_wins)
+    left_at: dict[int, list[int]] = {}  # packed left windows by top field
+    for win in left_wins:
+        left_at.setdefault(win[0] - 1, []).append(_packed([win]))
+    right = [(win, _packed([win]), win[1] - win[0] + 1) for win in windows(right)]
+    guard = _packed([(1, A.n)]) << _FIELD - 1
     feas_memo: dict = {}
     for extra in range(_SEARCH_PIECES):
         for combo in itertools.combinations_with_replacement(pieces, extra):
@@ -482,29 +508,12 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
             dim_x = sum(b - a + 1 for a, b in X)
             if dim_x > STAR_SEARCH_DIM:
                 continue
-            xvec = [0] * n
-            for a, b in X:
-                for v in range(a, b + 1):
-                    xvec[v - 1] += 1
-            for copies in range(1, _SEARCH_COPIES + 1):
-                for v_multi in itertools.combinations_with_replacement(right_wins, copies):
-                    dim_v = sum(d - c + 1 for c, d in v_multi)
-                    if dim_v >= dim_x:
-                        continue
-                    vvec = [0] * n
-                    fits = True
-                    for c, d in v_multi:
-                        for v in range(c, d + 1):
-                            vvec[v - 1] += 1
-                            if vvec[v - 1] > xvec[v - 1]:
-                                fits = False
-                    if not fits:
-                        continue
-                    uvec = tuple(xvec[i] - vvec[i] for i in range(n))
-                    if not _left_feasible(uvec, left_wins, feas_memo):
-                        continue
-                    if _g_search(n, X, v_multi, left_wins):
-                        return True
+            x_packed = _packed(X)
+            for v_multi, v_packed in _quotients(right, x_packed, dim_x, guard):
+                if _left_feasible(x_packed - v_packed, left_at, guard, feas_memo) and _g_search(
+                    X, v_multi, left_set
+                ):
+                    return True
     return False
 
 

@@ -200,7 +200,11 @@ def to_matrep(A: Algebra, M: ModuleSum | Uniserial) -> MatRep:
     """Block assembly of the companion representations of the summands."""
     if isinstance(M, Uniserial):
         M = ModuleSum.of(M)
-    validate_module(A, M)
+    return _matrep(A, validate_module(A, M))
+
+
+def _matrep(A: Algebra, M: ModuleSum) -> MatRep:
+    """``to_matrep`` for a module whose summands are already validated."""
     at_vertex, pos = _layout(A, M)
     dims = tuple(len(slots) for slots in at_vertex)
     mats = []
@@ -464,12 +468,13 @@ def _build_middle(Urep: MatRep, Vrep: MatRep, pairs, bits: int) -> MatRep:
 def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
     """(Urep, Vrep, pairs): the two ends' representations, built once, and
     the summand pairs (i, j) with nonvanishing Ext^1(V_i, U_j) with their
-    connecting-data generators embedded at the right block offsets."""
+    connecting-data generators embedded at the right block offsets.  The
+    caller has validated both ends."""
     _, v_pos = _layout(A, V)
     _, u_pos = _layout(A, U)
     arrows = _arrow_list(A)
-    Urep = to_matrep(A, U)
-    Vrep = to_matrep(A, V)
+    Urep = _matrep(A, U)
+    Vrep = _matrep(A, V)
     pairs = []
     for i, v in enumerate(V.summands):
         for j, u in enumerate(U.summands):
@@ -527,7 +532,7 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
         raise InputError("middle terms are enumerated for linear shapes only")
     V = V if isinstance(V, ModuleSum) else ModuleSum.of(V)
     U = U if isinstance(U, ModuleSum) else ModuleSum.of(U)
-    validate_module(A, V)
+    validate_module(A, V)  # each end once, and before the cap refusal
     validate_module(A, U)
     if V.dim + U.dim > cap:
         raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")

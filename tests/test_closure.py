@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from orlov_kit import (
     INFINITE,
+    LINEAR,
     IndecSet,
     InputError,
     ModuleSum,
     RefusalError,
+    Relation,
     TorsionSpec,
     Uniserial,
     bracket_n,
@@ -29,7 +33,11 @@ from orlov_kit import (
     verify_subset_lemmas,
     wd_generator,
 )
-from orlov_kit.closure import star_mask
+from orlov_kit.closure import _kernel_windows, _onto, _rank_f2, _realizable, star_mask
+
+from conftest import all_linear_algebras
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def simples_set(A) -> IndecSet:
@@ -173,6 +181,109 @@ def test_star_associative_sampled(linear):
         assert star_mask(A, star_mask(A, x, y), z) == star_mask(
             A, x, star_mask(A, y, z)
         ), (x, y, z)
+
+
+def test_realizable_decisions_match_golden():
+    # Every gap-bit decision orlov_spectrum makes on linear4 and on linear4
+    # with relation (1,2) and (2,2): 8 realized, 34 refuted.  A search that
+    # realizes or refutes any of them wrongly fails here.
+    golden = json.loads((GOLDEN / "realizable_decisions.json").read_text())
+    for name, entry in golden.items():
+        rel = entry["relation"]
+        A = build_algebra(LINEAR, 4, Relation(*rel) if rel else None)
+        _realizable.cache_clear()
+        got = [[left, right, w, _realizable(A, left, right, w)] for left, right, w, _ in entry["decisions"]]
+        assert got == entry["decisions"], name
+    _realizable.cache_clear()
+
+
+def _reference_nullspace(rows: list[int], nvars: int) -> list[int]:
+    pivots: dict[int, int] = {}
+    for r in rows:
+        for p, row in pivots.items():
+            if r >> p & 1:
+                r ^= row
+        if r:
+            p = r.bit_length() - 1
+            for q in pivots:
+                if pivots[q] >> p & 1:
+                    pivots[q] ^= r
+            pivots[p] = r
+    out = []
+    for f in range(nvars):
+        if f in pivots:
+            continue
+        vec = 1 << f
+        for p, r in pivots.items():
+            if r >> f & 1:
+                vec |= 1 << p
+        out.append(vec)
+    return out
+
+
+def _reference_onto_and_kernel(n, X, Vc, chosen):
+    """The witness search's former route, kept as the reference: g as a full
+    matrix over the vertex bases, surjectivity as full rank, and kernel
+    window multiplicities by inclusion-exclusion over every path rank."""
+    xb = {key: k for k, key in enumerate((i, v) for i, (a, b) in enumerate(X) for v in range(a, b + 1))}
+    vb = {key: k for k, key in enumerate((j, v) for j, (c, d) in enumerate(Vc) for v in range(c, d + 1))}
+    cols = [0] * len(xb)
+    for i, j in chosen:
+        for v in range(X[i][0], Vc[j][1] + 1):
+            cols[xb[(i, v)]] |= 1 << vb[(j, v)]
+    onto = _rank_f2(cols) == len(vb)
+    rows = [0] * len(vb)
+    for col, bits in enumerate(cols):
+        for r in range(len(vb)):
+            if bits >> r & 1:
+                rows[r] |= 1 << col
+    ker = _reference_nullspace(rows, len(xb))
+    inv = {col: key for key, col in xb.items()}
+
+    def path_rank(a: int, b: int) -> int:
+        if a < 1 or b > n:
+            return 0
+        vecs = []
+        for vec in ker:
+            out = 0
+            for col in range(len(xb)):
+                if vec >> col & 1:
+                    i, v = inv[col]
+                    if v == a and X[i][1] >= b:
+                        out |= 1 << xb[(i, b)]
+            vecs.append(out)
+        return _rank_f2(vecs)
+
+    mults = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            mult = path_rank(a, b) - path_rank(a - 1, b) - path_rank(a, b + 1) + path_rank(a - 1, b + 1)
+            if mult:
+                mults[(a, b)] = mult
+    return onto, mults
+
+
+def test_search_rules_match_full_matrix_reference():
+    # Rule (b): surjectivity from the rank on tops equals full rank.
+    # Rule (c): per-vertex kernel multiplicities equal the all-path-rank
+    # inclusion-exclusion, for every map, onto or not.
+    rng = random.Random(20261018)
+    algebras = [A for n in range(2, 6) for A in all_linear_algebras(n)]
+    onto_seen = 0
+    for _ in range(1500):
+        A = rng.choice(algebras)
+        wins = [(u.top_vertex, u.top_vertex + u.length - 1) for u in indecomposables(A)]
+        X = sorted(rng.choice(wins) for _ in range(rng.randint(1, 4)))
+        # quotient windows mostly start at a top of X, so that onto maps occur
+        tops = [w for w in wins if any(w[0] == a for a, _ in X)]
+        Vc = tuple(sorted(rng.choice(tops if rng.random() < 0.8 else wins) for _ in range(rng.randint(1, 4))))
+        pairs = [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
+        chosen = tuple(p for p in pairs if rng.random() < 0.6)
+        onto, mults = _reference_onto_and_kernel(A.n, X, Vc, chosen)
+        assert _onto(X, Vc, chosen) == onto, (A.kupisch, X, Vc, chosen)
+        assert dict(_kernel_windows(X, Vc, chosen)) == mults, (A.kupisch, X, Vc, chosen)
+        onto_seen += onto
+    assert onto_seen >= 200
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,38 @@ def test_middle_terms_guards(linear, cyclic_fixture):
         )
 
 
+def test_middle_terms_invalid_end_beats_cap(linear):
+    # An end that is not a module of A is an input error even when the pair
+    # is also over the cap: validation runs before the refusal.
+    A = linear(4)
+    bad = Uniserial(2, 4)  # P(2) has length 3
+    big = ModuleSum.of(Uniserial(1, 4), Uniserial(1, 4), Uniserial(1, 4))
+    for V, U in ((ModuleSum.of(bad), big), (big, ModuleSum.of(bad))):
+        with pytest.raises(InputError):
+            middle_terms(A, V, U, cap=4)
+    with pytest.raises(RefusalError):
+        middle_terms(A, big, ModuleSum.of(Uniserial(2, 3)), cap=4)
+
+
+def test_middle_terms_validates_each_end_once(linear, monkeypatch):
+    import orlov_kit.nakayama as nakayama
+
+    A = linear(4)
+    V = ModuleSum.of(Uniserial(1, 2), Uniserial(2, 1))
+    U = ModuleSum.of(Uniserial(3, 2), Uniserial(3, 1), Uniserial(2, 1))
+    middle_terms(A, V, U)  # fills the per-uniserial ext caches
+    seen = []
+    original = nakayama.validate_uniserial
+
+    def counting(B, u):
+        seen.append(u)
+        return original(B, u)
+
+    monkeypatch.setattr(nakayama, "validate_uniserial", counting)
+    middle_terms(A, V, U)
+    assert sorted(seen) == sorted(V.summands + U.summands)
+
+
 def test_middle_dimensions_are_exact(linear):
     A = linear(4)
     rng = random.Random(3)
