@@ -11,6 +11,16 @@ each other in tests:
 * Krull-Schmidt decomposition by hom counting against the indecomposables,
   whose hom matrix is unitriangular in the canonical order.
 
+The middle enumeration decomposes one extension class per orbit.  Classes
+of 0 -> U -> X -> V -> 0 are bit patterns over the summand pairs with
+nonzero ext, and permuting equal summands of V or of U is an automorphism
+of that end which permutes the pairs and carries each class to one with an
+isomorphic middle.  Patterns are visited in ascending order; the first of
+each orbit marks its whole orbit seen and is decomposed, the rest are
+skipped.  Marking costs at most |group| images per representative and
+nothing when every summand is distinct.  A pair with no ext at all builds
+no representation: its only middle is U + V.
+
 Matrices live as tuples of int bitmasks, one row per SOURCE basis vector,
 bit j = coefficient on target basis j; mat_mul therefore composes maps in
 diagram order.  GF(2) suffices because ext spaces between uniserials over
@@ -32,6 +42,7 @@ from .nakayama import (
     ModuleSum,
     RefusalError,
     Uniserial,
+    _is_int,
     indecomposables,
     validate_module,
 )
@@ -259,34 +270,36 @@ def hom_space_dim(X: MatRep, Y: MatRep) -> int:
     return nvars - gf2_rank(equations)
 
 
-def interval_hom_count(A: Algebra, I: Uniserial, X: MatRep) -> int:
-    """dim Hom(M_[a,b], X) for linear shapes, without the full solver.
+def _interval_hom_counts(X: MatRep) -> list[int]:
+    """dim Hom(M_[a,b], X) for every indecomposable, in ``indecomposables``
+    order (linear shapes), without the full solver.
 
     A map out of the interval is freely determined by the image x of the top
     basis vector at a; pushing x down the interval is forced, and the one
     condition is that the push past b dies: x in ker(X path product a..b).
-    When b = n there is no arrow to fall over, so every x works.
+    When b = n there is no arrow to fall over, so every x works.  The
+    indecomposables at one top come in lengths 1, 2, ..., so each longer
+    interval multiplies the running path product by one more arrow.
     """
-    if not A.is_linear:
-        raise InputError("interval hom counting needs the linear shape")
-    a = I.top_vertex
-    b = a + I.length - 1
-    if b == A.n:
-        return X.dims[a - 1]
-    prod = X.arrows[a - 1]
-    for v in range(a + 1, b + 1):
-        prod = mat_mul(prod, X.arrows[v - 1])
-    return X.dims[a - 1] - gf2_rank(prod)
+    A = X.algebra
+    counts = []
+    for I in indecomposables(A):
+        a = I.top_vertex
+        b = a + I.length - 1
+        if b == A.n:
+            counts.append(X.dims[a - 1])
+            continue
+        step = X.arrows[b - 1]
+        prod = step if I.length == 1 else mat_mul(prod, step)
+        counts.append(X.dims[a - 1] - gf2_rank(prod))
+    return counts
 
 
 @lru_cache(maxsize=None)
 def _hom_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
     """Oracle-side hom counts between indecomposables (row maps INTO column)."""
-    indecs = indecomposables(A)
-    reps = [to_matrep(A, u) for u in indecs]
-    return tuple(
-        tuple(interval_hom_count(A, I, rep) for rep in reps) for I in indecs
-    )
+    columns = [_interval_hom_counts(to_matrep(A, u)) for u in indecomposables(A)]
+    return tuple(zip(*columns))
 
 
 def decompose(X: MatRep) -> ModuleSum:
@@ -304,20 +317,21 @@ def decompose(X: MatRep) -> ModuleSum:
     validate_matrep(X)
     indecs = indecomposables(A)
     table = _hom_table(A)
-    h = [interval_hom_count(A, I, X) for I in indecs]
-    mult = [0] * len(indecs)
-    for i in range(len(indecs)):
-        m = h[i] - sum(table[i][j] * mult[j] for j in range(i))
+    found = []  # (index, multiplicity) of the summands found so far
+    for i, h in enumerate(_interval_hom_counts(X)):
+        row = table[i]
+        m = h - sum(row[j] * mj for j, mj in found)
         if m < 0:
             raise OracleError(f"negative multiplicity at {indecs[i]}: not a module")
-        mult[i] = m
+        if m:
+            found.append((i, m))
     dims = [0] * A.n
     parts = []
-    for u, m in zip(indecs, mult):
-        for _ in range(m):
-            parts.append(u)
-            for t in range(u.length):
-                dims[A.step(u.top_vertex, t) - 1] += 1
+    for i, m in found:
+        u = indecs[i]
+        parts.extend([u] * m)
+        for t in range(u.length):
+            dims[A.step(u.top_vertex, t) - 1] += m
     if tuple(dims) != X.dims:
         raise OracleError("hom counts and dimension vector disagree: not a module")
     return ModuleSum.from_iterable(parts)
@@ -466,36 +480,41 @@ def _build_middle(Urep: MatRep, Vrep: MatRep, pairs, bits: int) -> MatRep:
 
 
 def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
-    """(Urep, Vrep, pairs): the two ends' representations, built once, and
-    the summand pairs (i, j) with nonvanishing Ext^1(V_i, U_j) with their
-    connecting-data generators embedded at the right block offsets.  The
-    caller has validated both ends."""
+    """(Urep, Vrep, pairs): the summand pairs (i, j) with nonvanishing
+    Ext^1(V_i, U_j), with their connecting-data generators embedded at the
+    right block offsets, and the two ends' representations, built once.
+    When no pair has ext, nothing is built: the reps are None and ``pairs``
+    is empty.  The caller has validated both ends."""
+    gens = {}
+    for i, v in enumerate(V.summands):
+        for j, u in enumerate(U.summands):
+            pair_gens = _pair_ext_generators(A, v, u)
+            if pair_gens:
+                (gens[i, j],) = pair_gens  # linear shapes: ext is at most one dimensional
+    if not gens:
+        return None, None, []
     _, v_pos = _layout(A, V)
     _, u_pos = _layout(A, U)
     arrows = _arrow_list(A)
     Urep = _matrep(A, U)
     Vrep = _matrep(A, V)
     pairs = []
-    for i, v in enumerate(V.summands):
-        for j, u in enumerate(U.summands):
-            gens = _pair_ext_generators(A, v, u)
-            if not gens:
-                continue
-            (gen,) = gens  # linear shapes: ext is at most one dimensional
-            embedded = []
-            for k, (a, b) in enumerate(arrows):
-                rows = [0] * Vrep.dims[a - 1]
-                for t in range(v.length):
-                    if A.step(v.top_vertex, t) != a:
-                        continue
-                    row_small = gen[k][_small_pos(A, v, a, t)]
-                    big = 0
-                    for tu in range(u.length):
-                        if A.step(u.top_vertex, tu) == b and row_small >> _small_pos(A, u, b, tu) & 1:
-                            big |= 1 << u_pos[(j, tu)]
-                    rows[v_pos[(i, t)]] = big
-                embedded.append(tuple(rows))
-            pairs.append((i, j, tuple(embedded)))
+    for (i, j), gen in gens.items():
+        v, u = V.summands[i], U.summands[j]
+        embedded = []
+        for k, (a, b) in enumerate(arrows):
+            rows = [0] * Vrep.dims[a - 1]
+            for t in range(v.length):
+                if A.step(v.top_vertex, t) != a:
+                    continue
+                row_small = gen[k][_small_pos(A, v, a, t)]
+                big = 0
+                for tu in range(u.length):
+                    if A.step(u.top_vertex, tu) == b and row_small >> _small_pos(A, u, b, tu) & 1:
+                        big |= 1 << u_pos[(j, tu)]
+                rows[v_pos[(i, t)]] = big
+            embedded.append(tuple(rows))
+        pairs.append((i, j, tuple(embedded)))
     return Urep, Vrep, pairs
 
 
@@ -504,20 +523,37 @@ def _small_pos(A: Algebra, u: Uniserial, vertex: int, t: int) -> int:
     return sum(1 for t2 in range(t) if A.step(u.top_vertex, t2) == vertex)
 
 
-def _canonical_pattern(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> tuple:
-    """Sound dedup key: permuting equal summands on either side is an
-    isomorphism of the pair, hence preserves the middle's class.  Sort rows
-    by (V summand, row bits), then columns by (U summand, column bits in the
-    new row order); both sorts only permute equal summands.
-    """
-    grid = {(i, j): bits >> idx & 1 for idx, (i, j, _) in enumerate(pairs)}
-    nu = len(U.summands)
-    rows = sorted(
-        range(len(V.summands)),
-        key=lambda i: (V.summands[i], tuple(grid.get((i, j), 0) for j in range(nu))),
-    )
-    cols = sorted(range(nu), key=lambda j: (U.summands[j], tuple(grid.get((i, j), 0) for i in rows)))
-    return tuple(tuple(grid.get((i, j), 0) for j in cols) for i in rows)
+def _summand_swaps(V: ModuleSum, U: ModuleSum, pairs) -> list[tuple[tuple[int, int], ...]]:
+    """The transpositions of adjacent equal summands, on either side, as the
+    swaps of pair indices they induce.  Summands are sorted, so equal ones
+    sit in runs and these transpositions generate every permutation of
+    equal summands."""
+    index = {(i, j): idx for idx, (i, j, _) in enumerate(pairs)}
+    swaps = []
+    for s in range(len(V.summands) - 1):
+        if V.summands[s] == V.summands[s + 1]:
+            swaps.append(tuple((idx, index[s + 1, j]) for (i, j), idx in index.items() if i == s))
+    for s in range(len(U.summands) - 1):
+        if U.summands[s] == U.summands[s + 1]:
+            swaps.append(tuple((idx, index[i, s + 1]) for (i, j), idx in index.items() if j == s))
+    return [swap for swap in swaps if swap]
+
+
+def _orbit(bits: int, swaps) -> set[int]:
+    """Every image of a pattern under the group the ``swaps`` generate."""
+    orbit = {bits}
+    todo = [bits]
+    while todo:
+        pattern = todo.pop()
+        for swap in swaps:
+            image = pattern
+            for x, y in swap:
+                if (image >> x ^ image >> y) & 1:
+                    image ^= 1 << x | 1 << y
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> frozenset[ModuleSum]:
@@ -525,8 +561,19 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
 
     Extension classes decompose blockwise over summand pairs (the path
     constraints and coboundaries never couple distinct blocks), so classes
-    are enumerated as bit patterns over the pairs with nonzero ext, one per
-    ``_canonical_pattern`` key.  The zero pattern contributes U + V itself.
+    are enumerated as bit patterns over the pairs with nonzero ext.  The
+    zero pattern contributes U + V itself, and a pair with no ext at all
+    builds no representation.
+
+    Orbit rule: permuting equal summands of V, and of U, is an automorphism
+    of each end, and it carries a class to one with an isomorphic middle; on
+    patterns it permutes the pair indices.  Patterns are taken in ascending
+    order; an unseen one is decomposed after its whole orbit under those
+    permutations is marked seen, and a marked one is skipped.  So each orbit
+    is decomposed once.  The orbit is the closure under the transpositions
+    of adjacent equal summands, so a representative costs at most |group|
+    images, each tried against every transposition; when all summands are
+    distinct the group is trivial and nothing is marked.
     """
     if not A.is_linear:
         raise InputError("middle terms are enumerated for linear shapes only")
@@ -538,12 +585,14 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
         raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")
     Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
     middles = {U + V}
-    seen_patterns = set()
+    swaps = _summand_swaps(V, U, pairs)
+    seen: set[int] = set()
     for bits in range(1, 1 << len(pairs)):
-        pattern = _canonical_pattern(V, U, pairs, bits)
-        if pattern not in seen_patterns:
-            seen_patterns.add(pattern)
-            middles.add(decompose(_build_middle(Urep, Vrep, pairs, bits)))
+        if bits in seen:
+            continue
+        if swaps:
+            seen |= _orbit(bits, swaps)
+        middles.add(decompose(_build_middle(Urep, Vrep, pairs, bits)))
     return frozenset(middles)
 
 
@@ -568,6 +617,11 @@ def _multisets(A: Algebra, max_support: int, max_mult: int, max_dim: int):
                     yield M
 
 
+def _check_sweep_bound(name: str, value, least: int) -> None:
+    if not _is_int(value) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support: int = 2) -> dict:
     """Exhaustive star-vs-middles comparison, grouped by support pair.
 
@@ -577,8 +631,12 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
     their supports: over every pair with bounded support, multiplicity, and
     total dimension, the union of summands of all GF(2) middles of
     0 -> U -> X -> V -> 0 must equal star(supp U, supp V).  Returns a report
-    with any mismatches.
+    with any mismatches.  A bound that leaves nothing to check (cap < 2,
+    max_mult < 1 or max_support < 1) is an ``InputError``, not a pass.
     """
+    _check_sweep_bound("cap", cap, 2)
+    _check_sweep_bound("max_mult", max_mult, 1)
+    _check_sweep_bound("max_support", max_support, 1)
     mismatches = []
     checked = 0
     modules = list(_multisets(A, max_support, max_mult, cap))
@@ -611,9 +669,13 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
 
 
 def oracle_report(A: Algebra, cap: int = 12) -> dict:
-    """Pass/fail self-checks: hom agreement, ext agreement, round trip, star sweep."""
+    """Pass/fail self-checks: hom agreement, ext agreement, round trip, star sweep.
+
+    A cap below 2 admits no pair of modules, so it is an ``InputError``.
+    """
     from .homext import ext1_nonzero, hom_dim  # local to avoid import-order knots
 
+    _check_sweep_bound("cap", cap, 2)
     checks = []
     indecs = indecomposables(A)
     reps = {u: to_matrep(A, u) for u in indecs if u.length <= cap}

@@ -247,6 +247,16 @@ def test_oracle_verify(capsys):
     assert payload["ok"] is True
     assert all(check["ok"] for check in payload["checks"])
     assert out == golden("oracle_verify_linear3_cap10.json")
+    code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", LIN3AB, "--cap", "10")
+    assert code == EXIT_OK, err
+    assert out == golden("oracle_verify_linear3_ab_cap10.json")
+
+
+def test_oracle_verify_vacuous_cap_is_input_error(capsys):
+    # a cap below 2 admits no sweep pair: refusing beats an empty pass
+    for cap in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", LIN3, "--cap", cap)
+        assert code == EXIT_INPUT and out == "" and "error" in err, cap
 
 
 def test_verify_table_passes_and_is_deterministic(capsys):

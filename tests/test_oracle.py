@@ -27,8 +27,8 @@ from orlov_kit import (
 from orlov_kit.oracle import (
     MatRep,
     _build_middle,
-    _canonical_pattern,
     _ext_pair_structure,
+    _interval_hom_counts,
     _multisets,
     decompose,
     ext_dim_oracle,
@@ -39,6 +39,7 @@ from orlov_kit.oracle import (
     to_matrep,
     validate_matrep,
 )
+import orlov_kit.oracle as oracle
 
 from conftest import all_linear_algebras
 
@@ -277,13 +278,53 @@ def test_middle_dimensions_are_exact(linear):
             assert mid.dim == V.dim + U.dim
 
 
-def test_middle_terms_dedup_matches_every_pattern(linear):
-    # _canonical_pattern skips patterns that permute equal summands.  On a
-    # seeded sample of sweep pairs with at least two ext pairs, decompose
-    # every bit pattern: patterns sharing a key must share their middle, and
-    # middle_terms must return exactly the middles of all patterns.
+def _equal_summand_perms(M: ModuleSum):
+    """Every permutation of M's summand positions that fixes the summands."""
+    n = len(M.summands)
+    return [
+        p
+        for p in itertools.permutations(range(n))
+        if all(M.summands[p[i]] == M.summands[i] for i in range(n))
+    ]
+
+
+def _pattern_orbits(V: ModuleSum, U: ModuleSum, pairs) -> list[list[int]]:
+    """Bit patterns over ``pairs`` grouped into orbits under the full group
+    of permutations of equal summands on either side (reference for the
+    orbit rule of ``middle_terms``)."""
+    index = {(i, j): idx for idx, (i, j, _) in enumerate(pairs)}
+    images = [
+        [index[pv[i], pu[j]] for i, j, _ in pairs]
+        for pv in _equal_summand_perms(V)
+        for pu in _equal_summand_perms(U)
+    ]
+    seen: set[int] = set()
+    orbits: list[list[int]] = []
+    for bits in range(1 << len(pairs)):
+        if bits in seen:
+            continue
+        orbit = {sum(1 << perm[idx] for idx in range(len(pairs)) if bits >> idx & 1) for perm in images}
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
+    # middle_terms decomposes one pattern per orbit under permutations of
+    # equal summands.  On a seeded sample of sweep pairs with at least two
+    # ext pairs, decompose every bit pattern: patterns in one orbit must
+    # share their middle, middle_terms must return exactly the middles of
+    # all patterns, and it must call decompose once per nonzero orbit.
     rng = random.Random(9)
     merged = 0
+    calls = []
+    original = oracle.decompose
+
+    def counting(X):
+        calls.append(X)
+        return original(X)
+
+    monkeypatch.setattr(oracle, "decompose", counting)
     for A, max_mult in ((linear(3), 3), (linear(4), 2)):
         modules = list(_multisets(A, 2, max_mult, 12))
         sampled = 0
@@ -295,14 +336,91 @@ def test_middle_terms_dedup_matches_every_pattern(linear):
             if len(pairs) < 2:
                 continue
             sampled += 1
-            by_key: dict = {}
-            for bits in range(1 << len(pairs)):
-                middle = decompose(_build_middle(Urep, Vrep, pairs, bits))
-                by_key.setdefault(_canonical_pattern(V, U, pairs, bits), set()).add(middle)
-            assert all(len(middles) == 1 for middles in by_key.values()), (A.kupisch, V, U)
-            assert middle_terms(A, V, U) == frozenset().union(*by_key.values()), (A.kupisch, V, U)
-            merged += len(by_key) < 1 << len(pairs)
-    assert merged > 0  # the key does merge patterns on this sample
+            orbits = _pattern_orbits(V, U, pairs)
+            middles = []
+            for orbit in orbits:
+                found = {original(_build_middle(Urep, Vrep, pairs, bits)) for bits in orbit}
+                assert len(found) == 1, (A.kupisch, V, U, orbit)
+                middles.append(found.pop())
+            calls.clear()
+            assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
+            assert len(calls) == len(orbits) - 1, (A.kupisch, V, U)  # the zero orbit is U + V
+            merged += len(orbits) < 1 << len(pairs)
+    assert merged > 0  # the orbit rule does merge patterns on this sample
+
+
+def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
+    # V = S1 + S1, U = S2 + S2 + M[2,3]: six ext pairs, 63 nonzero patterns
+    # in 23 orbits under the group of order 4.
+    A = linear(3)
+    V = ModuleSum.of(Uniserial(1, 1), Uniserial(1, 1))
+    U = ModuleSum.of(Uniserial(2, 1), Uniserial(2, 1), Uniserial(2, 2))
+    calls = []
+    original = oracle.decompose
+
+    def counting(X):
+        calls.append(X)
+        return original(X)
+
+    monkeypatch.setattr(oracle, "decompose", counting)
+    middles = middle_terms(A, V, U)
+    assert len(calls) == 23
+    assert len(middles) == 5
+
+
+def test_middle_terms_builds_nothing_without_ext(linear, monkeypatch):
+    A = linear(4)
+    V = ModuleSum.of(Uniserial(2, 1))
+    U = ModuleSum.of(Uniserial(1, 1))
+    calls = []
+    original = oracle._matrep
+
+    def counting(B, M):
+        calls.append(M)
+        return original(B, M)
+
+    monkeypatch.setattr(oracle, "_matrep", counting)
+    assert middle_terms(A, V, U) == frozenset({U + V})
+    assert calls == []
+
+
+def _interval_hom_count_reference(A, I, X) -> int:
+    """dim Hom(M_[a,b], X) from one path product per interval (reference
+    for ``_interval_hom_counts``)."""
+    a = I.top_vertex
+    b = a + I.length - 1
+    if b == A.n:
+        return X.dims[a - 1]
+    prod = X.arrows[a - 1]
+    for v in range(a + 1, b + 1):
+        prod = mat_mul(prod, X.arrows[v - 1])
+    return X.dims[a - 1] - gf2_rank(prod)
+
+
+def test_interval_hom_counts_match_reference(linear, linear3_ab):
+    def check(A, X):
+        want = [_interval_hom_count_reference(A, I, X) for I in indecomposables(A)]
+        assert _interval_hom_counts(X) == want, (A.kupisch, X)
+
+    algebras = [A for n in range(1, 6) for A in all_linear_algebras(n)]
+    assert linear3_ab in algebras
+    for A in algebras:
+        for u in indecomposables(A):
+            check(A, to_matrep(A, u))
+    # middles of a seeded sample of sweep pairs, one random class each
+    rng = random.Random(13)
+    for A in (linear(3), linear3_ab, linear(4)):
+        modules = list(_multisets(A, 2, 2, 10))
+        sampled = 0
+        while sampled < 60:
+            V, U = rng.choice(modules), rng.choice(modules)
+            if V.dim + U.dim > 10:
+                continue
+            Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+            if not pairs:
+                continue
+            sampled += 1
+            check(A, _build_middle(Urep, Vrep, pairs, rng.randrange(1 << len(pairs))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +432,20 @@ def test_star_sweep_small(linear):
     report = verify_star_sweep(linear(3), cap=10, max_mult=2, max_support=2)
     assert report["mismatches"] == []
     assert (report["pairs_checked"], report["support_pairs"]) == (3574, 441)
+
+
+def test_vacuous_sweeps_are_input_errors(linear):
+    # cap < 2 leaves no sweep pair, and max_mult or max_support < 1 no
+    # module: each would check nothing and report a pass.
+    A = linear(3)
+    bad = ({"cap": 1}, {"cap": 0}, {"cap": -3}, {"max_mult": 0}, {"max_support": 0}, {"max_mult": -1},
+           {"cap": 10.0}, {"max_mult": True})
+    for kwargs in bad:
+        with pytest.raises(InputError):
+            verify_star_sweep(A, **kwargs)
+    for cap in (1, 0, -3):
+        with pytest.raises(InputError):
+            oracle_report(A, cap=cap)
 
 
 def test_oracle_report_linear(linear3_ab):
