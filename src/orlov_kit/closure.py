@@ -9,16 +9,22 @@ algebra's indecomposable list.  The one-step closure of two classes is
 
 (split extensions included, so members of either side stay in).  Extensions
 of direct sums can liberate summands that no single pair of uniserials
-produces, so star is computed exactly in three tiers:
+produces, so star is computed exactly from two bounds and a search:
 
 * floor - members plus the middle summands of the pairwise nonzero classes
   (merged window + overlap window); every floor bit is realizable.
-* ceiling - every summand of a middle is a stack: a tail window of the right
-  side sitting on top of a tail window of the left side (either part may be
-  empty), and star is monotone under sub-/quotient-closure of both sides,
-  where the floor is already the whole answer.  Intersecting these bounds
-  gives a set every true star member must lie in.
-* gap bits (ceiling minus floor) are decided one by one by an explicit
+* hull - star is monotone under sub-/quotient-closure of both sides, and on
+  closed sides the floor is the whole answer, so star(L, R) lies in
+  hull = floor(Sub L, Sub R) & floor(Fac L, Fac R).  The floor lies in the
+  hull: it is monotone in both sides, and L ⊆ Sub L, L ⊆ Fac L (likewise R).
+  No stack-shape bound (a middle summand is a right tail stacked on a left
+  tail, either part possibly empty) cuts the hull, since the Sub-floor is
+  made of such stacks.  Members of Sub L and Sub R are, with one part empty.
+  A nonzero class of q = [a, b] in Sub R by u = [c, d] in Sub L has
+  a < c <= b + 1 <= d <= a + c_a - 1 and middle M[a, d] + M[c, b]; M[c, b]
+  is a tail of q, and M[a, d] stacks q on [b + 1, d], a tail of u as
+  c <= b + 1, which fits as d - b <= c_a - (b - a + 1).
+* gap bits (hull minus floor) are decided one by one by an explicit
   witness search over F2 (`_realizable`), memoised per (left, right, bit).
   Three exact rules bound its work per candidate:
   (a) quotient multisets grow only while their dimension vector stays under
@@ -43,6 +49,7 @@ max = the Orlov-style upper dimension.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +64,7 @@ from .nakayama import (
     ModuleSum,
     RefusalError,
     Uniserial,
+    _is_int,
     indec_index,
     indecomposables,
     injective,
@@ -243,42 +251,17 @@ def _floor_mask(A: Algebra, left: int, right: int) -> int:
     return out
 
 
-def _ceiling_mask(A: Algebra, left: int, right: int) -> int:
-    """Stack-shape bound: every star member is a right-tail over a left-tail."""
-    indecs = indecomposables(A)
-    index = indec_index(A)
-    t_right = _sub_mask(A, right)
-    t_left = _sub_mask(A, left)
-    out = left | right | t_right | t_left
-    for kc in _bits(t_right):
-        c_win = indecs[kc]
-        a = c_win.top_vertex
-        b = a + c_win.length - 1
-        room = A.c(a) - c_win.length
-        if room <= 0:
-            continue
-        for ku in _bits(t_left):
-            k_win = indecs[ku]
-            if k_win.top_vertex == b + 1 and k_win.length <= room:
-                out |= 1 << index[Uniserial(a, c_win.length + k_win.length)]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
-    """(floor, hull) with floor ⊆ star(left, right) ⊆ floor | hull.
-
-    hull = stack-shape ceiling cut down by the exact stars of the sub- and
-    quotient-closures (closure of a closed set is its floor).  Bits of
-    hull \\ floor are exactly the ones needing witness arbitration.
+    """(floor, hull) with floor ⊆ star(left, right) ⊆ hull, where hull is
+    the exact stars of the sub- and quotient-closures (their floors),
+    intersected.  The module docstring proves floor ⊆ hull and that a
+    stack-shape bound would cut nothing from it.  Bits of hull \\ floor are
+    exactly the ones needing witness arbitration.
     """
     floor = _floor_mask(A, left, right)
-    hull = (
-        _ceiling_mask(A, left, right)
-        & _floor_mask(A, _sub_mask(A, left), _sub_mask(A, right))
-        & _floor_mask(A, _fac_mask(A, left), _fac_mask(A, right))
-    )
-    return floor, hull
+    sub_floor = _floor_mask(A, _sub_mask(A, left), _sub_mask(A, right))
+    return floor, sub_floor & _floor_mask(A, _fac_mask(A, left), _fac_mask(A, right))
 
 
 @lru_cache(maxsize=None)
@@ -485,8 +468,7 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     indecs = indecomposables(A)
     w = indecs[w_idx]
     w_win = (w.top_vertex, w.top_vertex + w.length - 1)
-    floor, hull = _star_hull(A, left, right)
-    piece_bits = floor | hull
+    piece_bits = _star_hull(A, left, right)[1]
     if not piece_bits >> w_idx & 1:
         return False
 
@@ -519,17 +501,22 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _bracket_mask(A: Algebra, t_mask: int, n: int) -> int:
+    """[T]_n; the chain is stable from the first level star leaves unchanged."""
     if n == 0:
         return 0
-    if n == 1:
-        return t_mask
-    return star_mask(A, t_mask, _bracket_mask(A, t_mask, n - 1))
+    cur = t_mask
+    for _ in range(n - 1):
+        nxt = star_mask(A, t_mask, cur)
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
 
 
 def bracket_n(A: Algebra, T: IndecSet, n: int) -> IndecSet:
     """The n-th level [T]_n of the extension-closure chain ([T]_0 is empty)."""
-    if n < 0:
-        raise InputError(f"closure level must be >= 0, got {n}")
+    if not _is_int(n) or n < 0:
+        raise InputError(f"closure level must be an integer >= 0, got {n!r}")
     return IndecSet(A, _bracket_mask(A, T.mask, n))
 
 
@@ -649,8 +636,11 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     """Exhaustive generation-time spectrum over multiplicity-free subsets.
 
     Witnesses are deterministic (smallest bitmask per time), also across
-    parallel runs: chunk minima merge to the global minimum.
+    parallel runs: chunk minima merge to the global minimum.  The pool forks
+    all its workers at the first submit, so it gets at most chunks or CPUs.
     """
+    if not _is_int(jobs) or jobs < 1:
+        raise InputError(f"jobs must be a positive integer, got {jobs!r}")
     indecs = indecomposables(A)
     if len(indecs) > OSPEC_REFUSAL_LIMIT and not force:
         raise RefusalError(
@@ -667,7 +657,7 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
         bounds = [(A, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         times = set()
         witness = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(bounds), os.cpu_count() or 1)) as pool:
             for part_times, part_witness in pool.map(_scan_chunk, bounds):
                 times |= part_times
                 for t, mask in part_witness.items():
@@ -720,10 +710,10 @@ def verify_subset_lemmas(
             left = _bracket_mask(A, t1, m)
             right = _bracket_mask(A, t2, k)
             combined = _bracket_mask(A, t1 | t2, m + k)
-            # Bound-first containment: floor ⊆ star ⊆ floor|hull, so a clean
-            # floor plus an absorbed hull settles the pair without arbitration.
+            # Bound-first containment: floor ⊆ star ⊆ hull, so a clean floor
+            # plus an absorbed hull settles the pair without arbitration.
             floor, hull = _star_hull(A, left, right)
-            if (floor | hull) | combined == combined:
+            if hull | combined == combined:
                 continue
             if floor | combined == combined:
                 got = star_mask(A, left, right)

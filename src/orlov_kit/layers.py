@@ -42,6 +42,7 @@ from .nakayama import (
     validate_module,
     validate_uniserial,
     _as_sum,
+    _is_int,
 )
 
 
@@ -53,7 +54,10 @@ class TorsionSpec:
 
     @staticmethod
     def of(A: Algebra, vertices) -> "TorsionSpec":
-        vs = frozenset(int(v) for v in vertices)
+        given = tuple(vertices)
+        if not all(_is_int(v) for v in given):
+            raise InputError(f"torsion spec vertices must be integers, got {given!r}")
+        vs = frozenset(given)
         bad = [v for v in vs if not 1 <= v <= A.n]
         if bad:
             raise InputError(f"torsion spec vertices {sorted(bad)} outside 1..{A.n}")

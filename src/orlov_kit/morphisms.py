@@ -317,8 +317,11 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
       nonzero n-fold T-coghost into Y   <=>  Y not in [Sub T]_n
       nonzero n-fold T-ghost out of Y   <=>  Y not in [Fac T]_n
 
-    Returns human-readable violations (expected empty).
+    Returns human-readable violations (expected empty).  An ``nmax`` below 1
+    would check nothing, so it is refused rather than passed.
     """
+    if not _is_int(nmax) or nmax < 1:
+        raise InputError(f"nmax must be a positive integer, got {nmax!r}")
     violations = []
     indecs = indecomposables(A)
     ends, into, out_of = _chain_tables(A)

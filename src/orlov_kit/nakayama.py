@@ -231,10 +231,12 @@ def algebra_from_kupisch(shape: str, kupisch: Iterable[int]) -> Algebra:
     descriptor carries ``relation=None``; the GF(2) oracle still works because
     module validation only needs the Kupisch series (paths of length c_i die).
     """
-    series = tuple(int(c) for c in kupisch)
+    series = tuple(kupisch)
     n = len(series)
     if n < 1:
         raise InputError("kupisch series must be nonempty")
+    if not all(_is_int(c) for c in series):
+        raise InputError(f"kupisch entries must be integers, got {series!r}")
     if any(c < 1 for c in series):
         raise InputError("kupisch entries must be >= 1")
     if shape == LINEAR:

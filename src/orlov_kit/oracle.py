@@ -504,23 +504,14 @@ def _ext_pair_structure(A: Algebra, V: ModuleSum, U: ModuleSum):
         embedded = []
         for k, (a, b) in enumerate(arrows):
             rows = [0] * Vrep.dims[a - 1]
-            for t in range(v.length):
-                if A.step(v.top_vertex, t) != a:
-                    continue
-                row_small = gen[k][_small_pos(A, v, a, t)]
-                big = 0
-                for tu in range(u.length):
-                    if A.step(u.top_vertex, tu) == b and row_small >> _small_pos(A, u, b, tu) & 1:
-                        big |= 1 << u_pos[(j, tu)]
-                rows[v_pos[(i, t)]] = big
+            # a line meets each vertex once: v at depth a - top, u at b - top,
+            # each one-dimensional there, so the generator block is one bit
+            t, tu = a - v.top_vertex, b - u.top_vertex
+            if 0 <= t < v.length and 0 <= tu < u.length and gen[k][0] & 1:
+                rows[v_pos[(i, t)]] = 1 << u_pos[(j, tu)]
             embedded.append(tuple(rows))
         pairs.append((i, j, tuple(embedded)))
     return Urep, Vrep, pairs
-
-
-def _small_pos(A: Algebra, u: Uniserial, vertex: int, t: int) -> int:
-    """Position of depth t within the single-summand layout at a vertex."""
-    return sum(1 for t2 in range(t) if A.step(u.top_vertex, t2) == vertex)
 
 
 def _summand_swaps(V: ModuleSum, U: ModuleSum, pairs) -> list[tuple[tuple[int, int], ...]]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orlov_kit import cli
+from orlov_kit import IndecSet, InputError, cli, load_algebra
 from orlov_kit.cli import (
     DEFAULT_SEED,
     EXIT_INPUT,
@@ -17,6 +17,7 @@ from orlov_kit.cli import (
     _fixture_path,
     main,
 )
+from orlov_kit.morphisms import coghost_lemma_check
 
 LIN2 = _fixture_path("linear2.json")
 LIN3 = _fixture_path("linear3.json")
@@ -257,6 +258,17 @@ def test_oracle_verify_vacuous_cap_is_input_error(capsys):
     for cap in ("1", "0", "-3"):
         code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", LIN3, "--cap", cap)
         assert code == EXIT_INPUT and out == "" and "error" in err, cap
+
+
+def test_coghost_lemma_vacuous_nmax_is_input_error(capsys):
+    # nmax below 1 checks no chain level: refusing beats an empty pass
+    for nmax in ("0", "-4"):
+        code, out, err = run_cli(capsys, "coghost-lemma", "--algebra", LIN3, "--nmax", nmax)
+        assert code == EXIT_INPUT and out == "" and "error" in err, nmax
+    A = load_algebra(LIN3)
+    for nmax in (1.5, True, "2"):
+        with pytest.raises(InputError):
+            coghost_lemma_check(A, IndecSet.full(A), nmax)
 
 
 def test_verify_table_passes_and_is_deterministic(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from pathlib import Path
 
@@ -33,7 +34,20 @@ from orlov_kit import (
     verify_subset_lemmas,
     wd_generator,
 )
-from orlov_kit.closure import _kernel_windows, _onto, _rank_f2, _realizable, star_mask
+from orlov_kit import closure
+from orlov_kit.closure import (
+    _bits,
+    _fac_mask,
+    _floor_mask,
+    _kernel_windows,
+    _onto,
+    _rank_f2,
+    _realizable,
+    _star_hull,
+    _sub_mask,
+    star_mask,
+)
+from orlov_kit.nakayama import indec_index
 
 from conftest import all_linear_algebras
 
@@ -183,6 +197,49 @@ def test_star_associative_sampled(linear):
         ), (x, y, z)
 
 
+def _reference_ceiling(A, left: int, right: int) -> int:
+    """The stack-shape ceiling star used to intersect into its hull, kept as
+    the reference: every star member is a right tail stacked on a left tail."""
+    indecs = indecomposables(A)
+    index = indec_index(A)
+    t_right = _sub_mask(A, right)
+    t_left = _sub_mask(A, left)
+    out = left | right | t_right | t_left
+    for kc in _bits(t_right):
+        c_win = indecs[kc]
+        a = c_win.top_vertex
+        b = a + c_win.length - 1
+        room = A.c(a) - c_win.length
+        if room <= 0:
+            continue
+        for ku in _bits(t_left):
+            k_win = indecs[ku]
+            if k_win.top_vertex == b + 1 and k_win.length <= room:
+                out |= 1 << index[Uniserial(a, c_win.length + k_win.length)]
+    return out
+
+
+def test_hull_needs_no_ceiling(linear):
+    # The Sub-floor lies inside the stack-shape ceiling and the floor inside
+    # the hull (closure.py's docstring proves both), so the two-bound hull
+    # equals the former three-bound one on every pair.
+    rng = random.Random(20261018)
+    cases = [(linear(3), [(l, r) for l in range(64) for r in range(64)])]
+    for n in (4, 5):
+        for rel in (None, (1, 2), (2, 2), (1, 3)):
+            A = build_algebra(LINEAR, n, Relation(*rel) if rel else None)
+            full = 1 << len(indecomposables(A))
+            cases.append((A, [(rng.randrange(full), rng.randrange(full)) for _ in range(1000)]))
+    for A, pairs in cases:
+        for left, right in pairs:
+            floor = _floor_mask(A, left, right)
+            sub_floor = _floor_mask(A, _sub_mask(A, left), _sub_mask(A, right))
+            fac_floor = _floor_mask(A, _fac_mask(A, left), _fac_mask(A, right))
+            ceiling = _reference_ceiling(A, left, right)
+            assert _star_hull(A, left, right) == (floor, ceiling & sub_floor & fac_floor), (A, left, right)
+            assert floor & ~_star_hull(A, left, right)[1] == 0, (A, left, right)
+
+
 def test_realizable_decisions_match_golden():
     # Every gap-bit decision orlov_spectrum makes on linear4 and on linear4
     # with relation (1,2) and (2,2): 8 realized, 34 refuted.  A search that
@@ -303,8 +360,19 @@ def test_bracket_levels(linear):
         Uniserial(3, 2),
     }
     assert bracket_n(A, S, 4).is_full
-    with pytest.raises(InputError):
-        bracket_n(A, S, -1)
+    for level in (-1, 2.5, True):
+        with pytest.raises(InputError):
+            bracket_n(A, S, level)
+
+
+def test_bracket_deep_level_is_the_stable_level(linear):
+    # the chain is stable once star returns its input, so a deep level costs
+    # no more than that and recurses nowhere
+    A = linear(3)
+    S = simples_set(A)
+    assert bracket_n(A, S, 5000) == bracket_n(A, S, 6)
+    P1 = IndecSet.of(A, [projective(A, 1)])
+    assert bracket_n(A, P1, 5000) == bracket_n(A, P1, 6) == P1
 
 
 def test_generation_time_values(linear):
@@ -362,6 +430,44 @@ def test_orlov_spectrum_parallel_matches_serial(linear):
     parallel = orlov_spectrum(A, jobs=3)
     assert parallel.spectrum == serial.spectrum == frozenset(range(5))
     assert parallel.witnesses == serial.witnesses
+
+
+def test_orlov_spectrum_rejects_nonpositive_jobs(linear):
+    for jobs in (0, -3, 1.5, True):
+        with pytest.raises(InputError):
+            orlov_spectrum(linear(3), jobs=jobs)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_orlov_spectrum_pool_size_is_capped(linear, monkeypatch):
+    # The pool forks every worker at its first submit, so it gets no more
+    # than min(jobs, chunks, CPUs).  No real worker starts in this test.
+    A = linear(5)
+    serial = orlov_spectrum(A)
+    monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
+    for cpus, jobs, want in ((2, 3, 2), (8, 3, 3), (None, 64, 1), (10**6, 10**5, 8192)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        _InlinePool.workers = []
+        result = orlov_spectrum(A, jobs=jobs)
+        assert _InlinePool.workers == [want], (cpus, jobs)
+        assert result.spectrum == serial.spectrum and result.witnesses == serial.witnesses
 
 
 # ---------------------------------------------------------------------------

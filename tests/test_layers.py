@@ -49,6 +49,9 @@ def test_torsion_spec_validation(linear):
         TorsionSpec.of(linear(4), [0])
     with pytest.raises(InputError):
         TorsionSpec.of(linear(4), [5])
+    for vertices in ([1.7, True], [True], [1, True], [2.0], ["2"]):
+        with pytest.raises(InputError):
+            TorsionSpec.of(linear(4), vertices)
 
 
 def test_trace_examples(linear):

@@ -89,6 +89,11 @@ def test_rejects_bad_descriptors():
     ):
         with pytest.raises(InputError):
             build_algebra(LINEAR, n, relation)
+    # the Kupisch entry point checks its entries the same way: no truncating
+    # 2.9 to 2 or reading True as 1
+    for series in ((2.9, True), (2, True), (2.0, 1), ("2", 1), (3, 2, 1.0)):
+        with pytest.raises(InputError):
+            algebra_from_kupisch(LINEAR, series)
 
 
 def test_kupisch_entry_point_validates():
