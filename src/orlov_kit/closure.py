@@ -26,7 +26,7 @@ produces, so star is computed exactly from two bounds and a search:
   c <= b + 1, which fits as d - b <= c_a - (b - a + 1).
 * gap bits (hull minus floor) are decided one by one by an explicit
   witness search over F2 (`_realizable`), memoised per (left, right, bit).
-  Three exact rules bound its work per candidate:
+  Four exact rules bound its work per candidate:
   (a) quotient multisets grow only while their dimension vector stays under
       the middle's and their dimension below it; both conditions are
       monotone in the multiset, so pruning at a prefix loses no candidate;
@@ -35,7 +35,15 @@ produces, so star is computed exactly from two bounds and a search:
   (c) g acts vertex by vertex, so ker g has a basis of vectors that each
       live at one vertex; the multiplicity of a kernel window [a, b] comes
       from ranks of the kernels at a and a - 1 masked to the windows of X
-      that reach b and b + 1.
+      that reach b and b + 1;
+  (d) whether a surjection g: X -> V with ker g in add(left) exists depends
+      only on the multisets X and V and on the left set: the maps g are the
+      same for any order of the summands, and left enters only through the
+      test "the window set of ker g lies in the left set".  Every window
+      set contains one that is minimal under inclusion among those of the
+      onto g, and each minimal set is some g's, so the test passes for some
+      g iff some minimal set lies in the left set.  The minimal sets of
+      (X, V) are enumerated once (`_kernel_sets`) for every left set.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
 monotone and stabilises after at most #indecomposables steps.
@@ -411,37 +419,61 @@ def _kernel_windows(X, Vc, chosen):
             b += 1
 
 
-def _g_search(X, Vc, left_set) -> bool:
-    """Search surjections g: X -> Vc over F2 with ker g in add(left).
+def _window_bit(a: int, b: int) -> int:
+    """The bit of window [a, b] in a kernel-set mask.  b(b+1)/2 + a is
+    injective on 1 <= a <= b, whatever the number of vertices."""
+    return 1 << (b * (b + 1) // 2 + a)
+
+
+def _hom_pairs(X, Vc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(tops, rest): the pairs (i, j) with a nonzero map X_i -> V_j, split by
+    whether the two windows start at the same vertex."""
+    tops: list[tuple[int, int]] = []
+    rest: list[tuple[int, int]] = []
+    for i, (a, b) in enumerate(X):
+        for j, (c, d) in enumerate(Vc):
+            if c <= a <= d <= b:
+                (tops if a == c else rest).append((i, j))
+    return tops, rest
+
+
+@lru_cache(maxsize=None)
+def _kernel_sets(X, Vc) -> tuple[int, ...]:
+    """The inclusion-minimal window sets of ker g over all surjections
+    g: X -> Vc, as masks of ``_window_bit``s (rule d).  X comes sorted.
 
     Hom spaces between windows are at most one-dimensional, so every g is a
     0/1 combination of the canonical overlap maps X_i -> V_j.  Only the maps
     between windows with a common top decide surjectivity (``_onto``), so
     those are chosen first and the rest only for a choice that is onto.
     """
-    hom_pairs = [
-        (i, j)
-        for i, (a, b) in enumerate(X)
-        for j, (c, d) in enumerate(Vc)
-        if c <= a <= d <= b
-    ]
-    if not hom_pairs or len(hom_pairs) > _SEARCH_HOM_PAIRS:
-        return False
-    tops = [(i, j) for i, j in hom_pairs if X[i][0] == Vc[j][0]]
-    rest = [(i, j) for i, j in hom_pairs if X[i][0] != Vc[j][0]]
-    # every copy's top needs a window starting exactly at it, else no g is onto
-    if len({j for _, j in tops}) < len(Vc):
-        return False
+    tops, rest = _hom_pairs(X, Vc)
+    found: set[int] = set()
     for size in range(1, len(tops) + 1):
         for top_choice in itertools.combinations(tops, size):
             if not _onto(X, Vc, top_choice):
                 continue
             for r in range(len(rest) + 1):
                 for rest_choice in itertools.combinations(rest, r):
-                    kernel = _kernel_windows(X, Vc, top_choice + rest_choice)
-                    if all(win in left_set for win, _ in kernel):  # stops at the first non-left window
-                        return True
-    return False
+                    mask = 0
+                    for (a, b), _ in _kernel_windows(X, Vc, top_choice + rest_choice):
+                        mask |= _window_bit(a, b)
+                    found.add(mask)
+    return tuple(sorted(k for k in found if not any(m != k and m & ~k == 0 for m in found)))
+
+
+def _g_search(X, Vc, left_mask: int) -> bool:
+    """Whether some surjection g: X -> Vc over F2 has ker g in add(left), with
+    left given as a mask of ``_window_bit``s.  The rejections that need no
+    enumeration come first; the rest is one lookup of ``_kernel_sets``."""
+    X = tuple(sorted(X))
+    tops, rest = _hom_pairs(X, Vc)
+    if len(tops) + len(rest) > _SEARCH_HOM_PAIRS:
+        return False
+    # every copy's top needs a window starting exactly at it, else no g is onto
+    if len({j for _, j in tops}) < len(Vc):
+        return False
+    return any(k & ~left_mask == 0 for k in _kernel_sets(X, Vc))
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +485,7 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     Candidate middles are the gap window plus shape-legal pieces; quotient
     candidates are multisets of right windows dominated by the middle's
     dimension vector whose complement is assemblable from left windows.  Each
-    surviving pair goes to the F2 surjection search.  Three exact rules keep
+    surviving pair goes to the F2 surjection search.  Four exact rules keep
     the work per candidate small:
 
     (a) ``_quotients`` extends a multiset only while it fits under X: adding
@@ -464,6 +496,9 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     (c) ``_kernel_windows`` reads kernel multiplicities vertex by vertex: a
         map of representations acts vertex by vertex, so its kernel vectors
         are homogeneous in the vertex.
+    (d) ``_g_search`` answers from the minimal kernel window sets of (X, V),
+        enumerated once per sorted X and V whatever the left set: some g
+        has ker g in add(left) iff some minimal set lies in the left set.
     """
     indecs = indecomposables(A)
     w = indecs[w_idx]
@@ -477,7 +512,7 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
 
     pieces = windows(piece_bits)
     left_wins = windows(left)
-    left_set = frozenset(left_wins)
+    left_mask = sum(_window_bit(a, b) for a, b in left_wins)  # distinct windows
     left_at: dict[int, list[int]] = {}  # packed left windows by top field
     for win in left_wins:
         left_at.setdefault(win[0] - 1, []).append(_packed([win]))
@@ -493,7 +528,7 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
             x_packed = _packed(X)
             for v_multi, v_packed in _quotients(right, x_packed, dim_x, guard):
                 if _left_feasible(x_packed - v_packed, left_at, guard, feas_memo) and _g_search(
-                    X, v_multi, left_set
+                    X, v_multi, left_mask
                 ):
                     return True
     return False

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closure import IndecSet, _bits, bracket_n, fac_closure, sub_closure
-from .homext import ARArrow, ar_quiver, hom_dim, interval_end
+from .homext import ARArrow, _linear_hom_dim, ar_quiver, hom_dim, interval_end
 from .nakayama import (
     Algebra,
     InputError,
@@ -77,7 +77,7 @@ def morphism(A: Algebra, source: ModuleSum, target: ModuleSum, entries: dict) ->
             raise InputError(f"morphism coefficients must be integers, got {value!r}")
         if not value:
             continue
-        if hom_dim(A, source.summands[s], target.summands[t]) == 0:
+        if _linear_hom_dim(source.summands[s], target.summands[t]) == 0:
             raise InputError(
                 f"no hom from summand {s} ({source.summands[s]}) to {t} ({target.summands[t]})"
             )
@@ -318,7 +318,10 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
       nonzero n-fold T-ghost out of Y   <=>  Y not in [Fac T]_n
 
     Returns human-readable violations (expected empty).  An ``nmax`` below 1
-    would check nothing, so it is refused rather than passed.
+    would check nothing, so it is refused rather than passed.  Level n's
+    checks read only (reach_in, reach_out, [Sub T]_n, [Fac T]_n), and each
+    part is a function of its value at n - 1, so once that state repeats every
+    later level repeats its checks: the loop stops there, whatever ``nmax``.
     """
     if not _is_int(nmax) or nmax < 1:
         raise InputError(f"nmax must be a positive integer, got {nmax!r}")
@@ -331,11 +334,15 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
     reach_in = reach_out = [1 << k for k in range(len(indecs))]
     sub_level = sub_closure(A, T)
     fac_level = fac_closure(A, T)
+    state = None
     for n in range(1, nmax + 1):
         reach_in = [_advance(step_in, r) for r in reach_in]
         reach_out = [_advance(step_out, r) for r in reach_out]
         in_sub = bracket_n(A, sub_level, n)
         in_fac = bracket_n(A, fac_level, n)
+        if state == (reach_in, reach_out, in_sub, in_fac):
+            break
+        state = (reach_in, reach_out, in_sub, in_fac)
         for y, Y in enumerate(indecs):
             cog = any(indecs[a].top_vertex <= ends[y] for a in _bits(reach_in[y]))
             if cog == (Y in in_sub):
@@ -431,7 +438,7 @@ def _random_radical_map(A: Algebra, rng: random.Random, source: ModuleSum, indec
             (s, t)
             for s, src in enumerate(source.summands)
             for t, tgt in enumerate(target.summands)
-            if src != tgt and hom_dim(A, src, tgt)
+            if src != tgt and _linear_hom_dim(src, tgt)
         ]
         if slots:
             entries = {slot: rng.choice((-2, -1, 1, 2)) for slot in slots if rng.random() < 0.8}

@@ -128,7 +128,7 @@ def test_gentime(capsys):
     assert payload["strong_generator"] is False
 
 
-def test_ospec_and_jobs_determinism(capsys):
+def test_ospec_and_jobs_determinism(capsys, tmp_path):
     code, first, _ = run_cli(capsys, "ospec", "--algebra", LIN3)
     assert code == EXIT_OK
     payload = json.loads(first)
@@ -144,6 +144,14 @@ def test_ospec_and_jobs_determinism(capsys):
     code, out, _ = run_cli(capsys, "ospec", "--algebra", LIN3AB)
     assert code == EXIT_OK
     assert out == golden("ospec_linear3_ab.json")
+
+    # the relation spectra: the only ones whose gap bits are refuted
+    for start, length in ((1, 2), (2, 2), (1, 3)):
+        path = tmp_path / f"linear4_rel{start}_{length}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": 4, "relation": {"start": start, "length": length}}))
+        code, out, _ = run_cli(capsys, "ospec", "--algebra", str(path))
+        assert code == EXIT_OK
+        assert out == golden(f"ospec_linear4_rel{start}_{length}.json")
 
 
 def test_ospec_refusal_exit_code(capsys, tmp_path):

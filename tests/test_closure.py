@@ -39,12 +39,15 @@ from orlov_kit.closure import (
     _bits,
     _fac_mask,
     _floor_mask,
+    _g_search,
+    _kernel_sets,
     _kernel_windows,
     _onto,
     _rank_f2,
     _realizable,
     _star_hull,
     _sub_mask,
+    _window_bit,
     star_mask,
 )
 from orlov_kit.nakayama import indec_index
@@ -249,9 +252,11 @@ def test_realizable_decisions_match_golden():
         rel = entry["relation"]
         A = build_algebra(LINEAR, 4, Relation(*rel) if rel else None)
         _realizable.cache_clear()
+        _kernel_sets.cache_clear()
         got = [[left, right, w, _realizable(A, left, right, w)] for left, right, w, _ in entry["decisions"]]
         assert got == entry["decisions"], name
     _realizable.cache_clear()
+    _kernel_sets.cache_clear()
 
 
 def _reference_nullspace(rows: list[int], nvars: int) -> list[int]:
@@ -341,6 +346,120 @@ def test_search_rules_match_full_matrix_reference():
         assert dict(_kernel_windows(X, Vc, chosen)) == mults, (A.kupisch, X, Vc, chosen)
         onto_seen += onto
     assert onto_seen >= 200
+
+
+def _reference_g_search(X, Vc, left_set) -> bool:
+    """The former early-exit surjection search, kept as the reference: it
+    stops at the first onto g whose kernel windows all lie in left_set."""
+    hom_pairs = [
+        (i, j)
+        for i, (a, b) in enumerate(X)
+        for j, (c, d) in enumerate(Vc)
+        if c <= a <= d <= b
+    ]
+    if not hom_pairs or len(hom_pairs) > closure._SEARCH_HOM_PAIRS:
+        return False
+    tops = [(i, j) for i, j in hom_pairs if X[i][0] == Vc[j][0]]
+    rest = [(i, j) for i, j in hom_pairs if X[i][0] != Vc[j][0]]
+    if len({j for _, j in tops}) < len(Vc):
+        return False
+    for size in range(1, len(tops) + 1):
+        for top_choice in itertools.combinations(tops, size):
+            if not _onto(X, Vc, top_choice):
+                continue
+            for r in range(len(rest) + 1):
+                for rest_choice in itertools.combinations(rest, r):
+                    kernel = _kernel_windows(X, Vc, top_choice + rest_choice)
+                    if all(win in left_set for win, _ in kernel):
+                        return True
+    return False
+
+
+def _reference_minimal_kernels(X, Vc) -> set[frozenset]:
+    """Minimal kernel window sets of the onto g: X -> Vc, as plain sets."""
+    pairs = [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
+    if len(pairs) > closure._SEARCH_HOM_PAIRS:
+        return set()
+    kernels = set()
+    for r in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, r):
+            if _onto(X, Vc, chosen):
+                kernels.add(frozenset(win for win, _ in _kernel_windows(X, Vc, chosen)))
+    return {k for k in kernels if not any(m < k for m in kernels)}
+
+
+def _window_mask(windows: frozenset) -> int:
+    return sum(_window_bit(a, b) for a, b in windows)
+
+
+def _recorded_searches(monkeypatch, A, rng, bits: int, per_bit: int):
+    """(X, Vc, left windows) of the surjection searches _realizable makes on
+    ``bits`` seeded gap bits of A, at most ``per_bit`` from each."""
+    indecs = indecomposables(A)
+    full = 1 << len(indecs)
+    calls: list = []
+    left_set: frozenset = frozenset()
+    original = closure._g_search
+
+    class Enough(Exception):
+        pass
+
+    def recorder(X, Vc, left_mask):
+        calls.append((tuple(X), tuple(Vc), left_set))
+        if len(calls) >= quota:
+            raise Enough
+        return original(X, Vc, left_mask)
+
+    monkeypatch.setattr(closure, "_g_search", recorder)
+    decided = 0
+    while decided < bits:
+        left, right = rng.randrange(1, full), rng.randrange(1, full)
+        floor, hull = _star_hull(A, left, right)
+        gaps = list(_bits(hull & ~floor))
+        if not gaps:
+            continue
+        left_set = frozenset(
+            (u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(left))
+        )
+        quota = len(calls) + per_bit
+        try:
+            _realizable(A, left, right, rng.choice(gaps))
+        except Enough:
+            pass
+        decided += 1
+    monkeypatch.undo()
+    _realizable.cache_clear()
+    return calls
+
+
+def test_kernel_sets_match_early_exit_reference(monkeypatch):
+    # Rule (d): one cached set of minimal kernel windows per (X, V) answers
+    # every left set as the early-exit search did.  Left sets are the real
+    # ones and, per draw, each minimal kernel set with and without one of its
+    # windows, so dropping or mis-reducing a kernel set, or ignoring the left
+    # set, changes an answer.  Windows shifted past vertex 16 check that the
+    # bit encoding stays injective; permuting X must change nothing.
+    rng = random.Random(20261019)
+    algebras = [build_algebra(LINEAR, 4, Relation(*rel) if rel else None) for rel in (None, (1, 2), (2, 2), (1, 3))]
+    algebras.append(build_algebra(LINEAR, 5, None))
+    seen = {True: 0, False: 0}
+    for A in algebras:
+        calls = _recorded_searches(monkeypatch, A, rng, bits=6, per_bit=150)
+        for X, Vc, left_set in rng.sample(calls, min(60, len(calls))):
+            minimal = _reference_minimal_kernels(X, Vc)
+            lefts = [left_set, *minimal, *(k - {win} for k in minimal for win in k)]
+            for shift in (0, 13, 16):
+                Xs = [(a + shift, b + shift) for a, b in X]
+                Vs = tuple((a + shift, b + shift) for a, b in Vc)
+                for left in lefts:
+                    ls = frozenset((a + shift, b + shift) for a, b in left)
+                    want = _reference_g_search(Xs, Vs, ls)
+                    assert _g_search(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, X, Vc, left, shift)
+                    rng.shuffle(Xs)
+                    assert _g_search(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, Xs, Vc, left, shift)
+                    seen[want] += 1
+    assert seen[True] >= 200 and seen[False] >= 200, seen
+    _kernel_sets.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from orlov_kit import (
     projective,
     simple,
 )
-from orlov_kit.homext import composite_nonzero, hom_sum_nonzero, interval_end
+from orlov_kit.homext import _linear_hom_dim, composite_nonzero, hom_sum_nonzero, interval_end
 
 from conftest import all_linear_algebras
 
@@ -49,6 +49,21 @@ def test_hom_dim_identity_and_simples(linear):
         assert hom_dim(A, u, u) == 1
     for i, j in itertools.product(range(1, 5), repeat=2):
         assert hom_dim(A, simple(A, i), simple(A, j)) == (1 if i == j else 0)
+
+
+def test_hom_dim_validates_while_the_window_test_does_not(linear):
+    # The public entry still refuses modules that do not exist over A; the
+    # unvalidated window test serves callers whose modules are valid already.
+    A = linear(3)
+    for bad in (Uniserial(1, 4), Uniserial(4, 1), Uniserial(2, 3)):
+        with pytest.raises(InputError):
+            hom_dim(A, bad, simple(A, 1))
+        with pytest.raises(InputError):
+            hom_dim(A, simple(A, 1), bad)
+    for n in range(1, 5):
+        for B in all_linear_algebras(n):
+            for x, y in itertools.product(indecomposables(B), repeat=2):
+                assert _linear_hom_dim(x, y) == hom_dim(B, x, y), (B.kupisch, x, y)
 
 
 def test_hom_dim_cyclic_alignments(cyclic_fixture):

@@ -237,6 +237,15 @@ def test_coghost_lemma_small_cases(linear):
     assert coghost_lemma_check(A, IndecSet.of(A, [projective(A, 1)]), 3) == []
 
 
+def test_coghost_lemma_stops_at_the_fixpoint(linear):
+    # Past the level where the reach sets and both closure levels repeat,
+    # every level repeats the same checks, so a huge nmax costs no more.
+    A = linear(3)
+    for mask in range(1 << len(indecomposables(A))):
+        T = IndecSet(A, mask)
+        assert coghost_lemma_check(A, T, 10**6) == coghost_lemma_check(A, T, 8), mask
+
+
 # ---------------------------------------------------------------------------
 # radical nilpotence
 # ---------------------------------------------------------------------------
