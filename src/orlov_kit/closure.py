@@ -31,7 +31,14 @@ produces, so star is computed exactly from two bounds and a search:
       the middle's and their dimension below it; both conditions are
       monotone in the multiset, so pruning at a prefix loses no candidate;
   (b) a map g: X -> V is onto iff it is onto on tops (Nakayama's lemma), a
-      rank test on the maps between windows with a common top vertex;
+      rank test on the maps between windows with a common top vertex.  A
+      nonzero map [a, b] -> [c, d] needs c <= a <= d <= b, and its image
+      [a, d] holds the top of [c, d] only when a = c.  So if no window
+      [a, b] of X has a = c and d <= b, every g maps X into rad [c, d] plus
+      the other copies, no g is onto, and every multiset holding [c, d] is
+      refuted.  Such windows are dropped from the quotient alphabet before
+      (a) walks it; (a)'s conditions concern only the windows kept, so its
+      pruning stays exact;
   (c) g acts vertex by vertex, so ker g has a basis of vectors that each
       live at one vertex; the multiplicity of a kernel window [a, b] comes
       from ranks of the kernels at a and a - 1 masked to the windows of X
@@ -43,7 +50,9 @@ produces, so star is computed exactly from two bounds and a search:
       set contains one that is minimal under inclusion among those of the
       onto g, and each minimal set is some g's, so the test passes for some
       g iff some minimal set lies in the left set.  The minimal sets of
-      (X, V) are enumerated once (`_kernel_sets`) for every left set.
+      (X, V) are enumerated once (`_kernel_sets`) for every left set.  X has
+      at most _SEARCH_PIECES summands and V at most _SEARCH_COPIES, so the
+      enumeration runs over at most 16 canonical maps and needs no cap.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
 monotone and stabilises after at most #indecomposables steps.
@@ -152,6 +161,13 @@ class IndecSet:
             raise InputError("cannot combine indec sets over different algebras")
 
 
+def _check_algebra(A: Algebra, T: IndecSet) -> None:
+    """Refuse a set built over another algebra: its mask indexes that
+    algebra's indecomposables, so read over A it names other modules."""
+    if T.algebra != A:
+        raise InputError(f"indec set over {T.algebra!r} passed with {A!r}")
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -201,11 +217,13 @@ def _fac_mask(A: Algebra, mask: int) -> int:
 
 def sub_closure(A: Algebra, T: IndecSet) -> IndecSet:
     """All indecomposable submodules of members."""
+    _check_algebra(A, T)
     return IndecSet(A, _sub_mask(A, T.mask))
 
 
 def fac_closure(A: Algebra, T: IndecSet) -> IndecSet:
     """All indecomposable quotients of members."""
+    _check_algebra(A, T)
     return IndecSet(A, _fac_mask(A, T.mask))
 
 
@@ -218,16 +236,14 @@ def fac_closure(A: Algebra, T: IndecSet) -> IndecSet:
 #: as a star member only on an explicit extension witness of total dimension
 #: at most this; the pairwise floor needs no witness, so the horizon only
 #: limits how baroque a liberating direct-sum extension may get.  The full
-#: horizon is this dimension, _SEARCH_PIECES summands of the middle,
-#: _SEARCH_COPIES summands of its quotient and _SEARCH_HOM_PAIRS canonical
-#: maps per surjection search.
+#: horizon is this dimension, _SEARCH_PIECES summands of the middle and
+#: _SEARCH_COPIES summands of its quotient.  These two also bound the
+#: canonical maps of a surjection search by their product, 16.
 STAR_SEARCH_DIM = 12
 
-#: Witness shape caps: summands of the searched middle / of its quotient,
-#: and (middle summand, quotient summand) pairs with a nonzero map.
+#: Witness shape caps: summands of the searched middle / of its quotient.
 _SEARCH_PIECES = 4
 _SEARCH_COPIES = 4
-_SEARCH_HOM_PAIRS = 16
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +302,8 @@ def star_mask(A: Algebra, left: int, right: int) -> int:
 
 def star(A: Algebra, left: IndecSet, right: IndecSet) -> IndecSet:
     """One-step extension closure: left-submodule by right-quotient middles."""
-    left._check_same(right)
+    _check_algebra(A, left)
+    _check_algebra(A, right)
     return IndecSet(A, star_mask(A, left.mask, right.mask))
 
 
@@ -337,13 +354,16 @@ def _left_feasible(u: int, left_at: dict[int, list[int]], guard: int, memo: dict
     return ok
 
 
-def _quotients(right, x_packed: int, dim_x: int, guard: int):
+def _quotients(right, X, x_packed: int, dim_x: int, guard: int):
     """Yield (multiset, packed vector) for multisets of 1.._SEARCH_COPIES
     right windows whose vector is <= X's and whose dimension is < dim X, by
     size, then in combinations_with_replacement order.  ``right`` holds
     (window, packed, dimension) sorted by window.  Both conditions only fail
     more as windows are added, so a multiset is extended only while it fits.
+    Only the right windows [c, d] covered from the top by a window [a, b] of
+    X (a = c, d <= b) are used: no map from X is onto any other (rule b).
     """
+    right = [r for r in right if any(a == r[0][0] and r[0][1] <= b for a, b in X)]
     level = [((), 0, 0, 0)]
     for _ in range(_SEARCH_COPIES):
         grown = []
@@ -425,18 +445,6 @@ def _window_bit(a: int, b: int) -> int:
     return 1 << (b * (b + 1) // 2 + a)
 
 
-def _hom_pairs(X, Vc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(tops, rest): the pairs (i, j) with a nonzero map X_i -> V_j, split by
-    whether the two windows start at the same vertex."""
-    tops: list[tuple[int, int]] = []
-    rest: list[tuple[int, int]] = []
-    for i, (a, b) in enumerate(X):
-        for j, (c, d) in enumerate(Vc):
-            if c <= a <= d <= b:
-                (tops if a == c else rest).append((i, j))
-    return tops, rest
-
-
 @lru_cache(maxsize=None)
 def _kernel_sets(X, Vc) -> tuple[int, ...]:
     """The inclusion-minimal window sets of ker g over all surjections
@@ -447,7 +455,12 @@ def _kernel_sets(X, Vc) -> tuple[int, ...]:
     between windows with a common top decide surjectivity (``_onto``), so
     those are chosen first and the rest only for a choice that is onto.
     """
-    tops, rest = _hom_pairs(X, Vc)
+    tops: list[tuple[int, int]] = []  # pairs (i, j) with a nonzero map X_i -> V_j
+    rest: list[tuple[int, int]] = []
+    for i, (a, b) in enumerate(X):
+        for j, (c, d) in enumerate(Vc):
+            if c <= a <= d <= b:
+                (tops if a == c else rest).append((i, j))
     found: set[int] = set()
     for size in range(1, len(tops) + 1):
         for top_choice in itertools.combinations(tops, size):
@@ -460,20 +473,6 @@ def _kernel_sets(X, Vc) -> tuple[int, ...]:
                         mask |= _window_bit(a, b)
                     found.add(mask)
     return tuple(sorted(k for k in found if not any(m != k and m & ~k == 0 for m in found)))
-
-
-def _g_search(X, Vc, left_mask: int) -> bool:
-    """Whether some surjection g: X -> Vc over F2 has ker g in add(left), with
-    left given as a mask of ``_window_bit``s.  The rejections that need no
-    enumeration come first; the rest is one lookup of ``_kernel_sets``."""
-    X = tuple(sorted(X))
-    tops, rest = _hom_pairs(X, Vc)
-    if len(tops) + len(rest) > _SEARCH_HOM_PAIRS:
-        return False
-    # every copy's top needs a window starting exactly at it, else no g is onto
-    if len({j for _, j in tops}) < len(Vc):
-        return False
-    return any(k & ~left_mask == 0 for k in _kernel_sets(X, Vc))
 
 
 @lru_cache(maxsize=None)
@@ -492,13 +491,19 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
         a window never shrinks a dimension vector or a dimension, so a prefix
         that does not fit has no extension that fits.
     (b) ``_onto`` decides surjectivity on tops before any kernel is built:
-        g(X) + rad V = V forces g(X) = V (Nakayama's lemma).
+        g(X) + rad V = V forces g(X) = V (Nakayama's lemma).  A nonzero map
+        [a, b] -> [c, d] needs c <= a <= d <= b, and its image [a, d] holds
+        the top of [c, d] only if a = c.  So ``_quotients`` first drops every
+        right window [c, d] with no window [a, b] of X such that a = c and
+        d <= b: no g is onto a multiset holding it.  (a) prunes the windows
+        kept by conditions on them alone, so it stays exact.
     (c) ``_kernel_windows`` reads kernel multiplicities vertex by vertex: a
         map of representations acts vertex by vertex, so its kernel vectors
         are homogeneous in the vertex.
-    (d) ``_g_search`` answers from the minimal kernel window sets of (X, V),
-        enumerated once per sorted X and V whatever the left set: some g
-        has ker g in add(left) iff some minimal set lies in the left set.
+    (d) the answer comes from the minimal kernel window sets of (X, V),
+        enumerated once per sorted X and V whatever the left set
+        (``_kernel_sets``): some g has ker g in add(left) iff some minimal
+        set lies in the left set.
     """
     indecs = indecomposables(A)
     w = indecs[w_idx]
@@ -521,14 +526,14 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     feas_memo: dict = {}
     for extra in range(_SEARCH_PIECES):
         for combo in itertools.combinations_with_replacement(pieces, extra):
-            X = [w_win, *combo]
+            X = tuple(sorted((w_win, *combo)))
             dim_x = sum(b - a + 1 for a, b in X)
             if dim_x > STAR_SEARCH_DIM:
                 continue
             x_packed = _packed(X)
-            for v_multi, v_packed in _quotients(right, x_packed, dim_x, guard):
-                if _left_feasible(x_packed - v_packed, left_at, guard, feas_memo) and _g_search(
-                    X, v_multi, left_mask
+            for v_multi, v_packed in _quotients(right, X, x_packed, dim_x, guard):
+                if _left_feasible(x_packed - v_packed, left_at, guard, feas_memo) and any(
+                    k & ~left_mask == 0 for k in _kernel_sets(X, v_multi)
                 ):
                     return True
     return False
@@ -552,11 +557,13 @@ def bracket_n(A: Algebra, T: IndecSet, n: int) -> IndecSet:
     """The n-th level [T]_n of the extension-closure chain ([T]_0 is empty)."""
     if not _is_int(n) or n < 0:
         raise InputError(f"closure level must be an integer >= 0, got {n!r}")
+    _check_algebra(A, T)
     return IndecSet(A, _bracket_mask(A, T.mask, n))
 
 
 def generation_time(A: Algebra, T: IndecSet):
     """Least n with [T]_{n+1} = all indecomposables; INFINITE if never reached."""
+    _check_algebra(A, T)
     full = IndecSet.full(A).mask
     cur = T.mask
     level = 1
@@ -575,13 +582,10 @@ def is_strong_generator(A: Algebra, T: IndecSet) -> bool:
     Fast rejection first: the tops and socles of a strong generator must
     cover every vertex (extensions never create new tops or socles).
     """
+    _check_algebra(A, T)
     top_bit, soc_bit, _ = _enumeration_tables(A)
-    tops = socs = 0
-    for k in _bits(T.mask):
-        tops |= top_bit[k]
-        socs |= soc_bit[k]
     all_vertices = (1 << A.n) - 1
-    if tops != all_vertices or socs != all_vertices:
+    if _union(top_bit, T.mask) != all_vertices or _union(soc_bit, T.mask) != all_vertices:
         return False
     return generation_time(A, T) is not INFINITE
 
@@ -636,10 +640,7 @@ def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
     all_vertices = (1 << A.n) - 1
     times: set[int] = set()
     witness: dict[int, int] = {}
-    req_tops = req_socs = 0
-    for k in _bits(required):
-        req_tops |= top_bit[k]
-        req_socs |= soc_bit[k]
+    req_tops, req_socs = _union(top_bit, required), _union(soc_bit, required)
     for sub in range(sub_lo, sub_hi):
         mask = required
         tops, socs = req_tops, req_socs

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closure import IndecSet, _bits, bracket_n, fac_closure, sub_closure
+from .closure import IndecSet, _bits, _check_algebra, _union, bracket_n, fac_closure, sub_closure
 from .homext import ARArrow, _linear_hom_dim, ar_quiver, hom_dim, interval_end
 from .nakayama import (
     Algebra,
@@ -151,6 +151,7 @@ def is_coghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     (g o f) at summand s is coefficients[s][t] times the endpoint indicator.
     """
     _require_linear(A)
+    _check_algebra(A, T)
     for I in T.members():
         end_i = interval_end(A, I)
         src_homs = [hom_dim(A, u, I) for u in f.source.summands]
@@ -168,6 +169,7 @@ def is_coghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
 def is_ghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     """Hom(I, f) = 0 for every I in T; mirror image of is_coghost."""
     _require_linear(A)
+    _check_algebra(A, T)
     for I in T.members():
         tgt_homs = [hom_dim(A, I, u) for u in f.target.summands]
         if not any(tgt_homs):
@@ -245,14 +247,6 @@ def _edge_masks(table, kill: int) -> list[int]:
     ]
 
 
-def _advance(step: list[int], reach: int) -> int:
-    """One chain step: everything one edge away from the reach set."""
-    out = 0
-    for x in _bits(reach):
-        out |= step[x]
-    return out
-
-
 def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
     """Whether some nonzero composite of n T-coghost maps lands in Y.
 
@@ -262,13 +256,14 @@ def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
     """
     if n < 1:
         raise InputError(f"chain length must be >= 1, got {n}")
+    _check_algebra(A, T)
     ends, into, _ = _chain_tables(A)
     step = _edge_masks(into, T.mask)
     indecs = indecomposables(A)
     y = indec_index(A)[Y]
     reach = 1 << y
     for _ in range(n):
-        reach = _advance(step, reach)
+        reach = _union(step, reach)
     return any(indecs[a].top_vertex <= ends[y] for a in _bits(reach))
 
 
@@ -276,11 +271,12 @@ def ghost_chain_exists(A: Algebra, T: IndecSet, X: Uniserial, n: int) -> bool:
     """Dual search: nonzero composite of n T-ghost maps out of X."""
     if n < 1:
         raise InputError(f"chain length must be >= 1, got {n}")
+    _check_algebra(A, T)
     ends, _, out_of = _chain_tables(A)
     step = _edge_masks(out_of, T.mask)
     reach = 1 << indec_index(A)[X]
     for _ in range(n):
-        reach = _advance(step, reach)
+        reach = _union(step, reach)
     return any(X.top_vertex <= ends[b] for b in _bits(reach))
 
 
@@ -288,13 +284,14 @@ def find_coghost_chain(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> tuple[U
     """One witnessing chain (A_n, ..., A_1, Y) with nonzero composite, if any."""
     if n < 1:
         raise InputError(f"chain length must be >= 1, got {n}")
+    _check_algebra(A, T)
     ends, into, _ = _chain_tables(A)
     step = _edge_masks(into, T.mask)
     indecs = indecomposables(A)
     y = indec_index(A)[Y]
     layers = [1 << y]
     for _ in range(n):
-        layers.append(_advance(step, layers[-1]))
+        layers.append(_union(step, layers[-1]))
     starts = [a for a in _bits(layers[n]) if indecs[a].top_vertex <= ends[y]]
     if not starts:
         return None
@@ -325,6 +322,7 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
     """
     if not _is_int(nmax) or nmax < 1:
         raise InputError(f"nmax must be a positive integer, got {nmax!r}")
+    _check_algebra(A, T)
     violations = []
     indecs = indecomposables(A)
     ends, into, out_of = _chain_tables(A)
@@ -336,8 +334,8 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
     fac_level = fac_closure(A, T)
     state = None
     for n in range(1, nmax + 1):
-        reach_in = [_advance(step_in, r) for r in reach_in]
-        reach_out = [_advance(step_out, r) for r in reach_out]
+        reach_in = [_union(step_in, r) for r in reach_in]
+        reach_out = [_union(step_out, r) for r in reach_out]
         in_sub = bracket_n(A, sub_level, n)
         in_fac = bracket_n(A, fac_level, n)
         if state == (reach_in, reach_out, in_sub, in_fac):
@@ -387,7 +385,7 @@ def radical_nilpotence_check(A: Algebra, chains: int = 10_000, seed: int = 20260
         for s, start in enumerate(indecs):
             reach = 1 << s
             for depth in range(1, n + 1):
-                reach = _advance(step, reach)
+                reach = _union(step, reach)
                 hits = [c for c in _bits(reach) if start.top_vertex <= ends[c]]
                 if hits:
                     longest = max(longest, depth)
@@ -458,6 +456,7 @@ def left_approximation(A: Algebra, X: ModuleSum, T: IndecSet) -> Morphism:
     literally a component), which is the covariant-finiteness construction.
     """
     _require_linear(A)
+    _check_algebra(A, T)
     validate_module(A, X)
     items = [
         (s, I)
@@ -479,6 +478,7 @@ def approximation_kernel(A: Algebra, X: ModuleSum, T: IndecSet) -> Morphism:
     D = max d_k (all of [a, b] when there are no homs, zero when D = b).
     """
     _require_linear(A)
+    _check_algebra(A, T)
     validate_module(A, X)
     parts = []  # (kernel summand, source index)
     for s, src in enumerate(X.summands):

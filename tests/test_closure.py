@@ -39,14 +39,16 @@ from orlov_kit.closure import (
     _bits,
     _fac_mask,
     _floor_mask,
-    _g_search,
     _kernel_sets,
     _kernel_windows,
     _onto,
+    _packed,
+    _quotients,
     _rank_f2,
     _realizable,
     _star_hull,
     _sub_mask,
+    _union,
     _window_bit,
     star_mask,
 )
@@ -89,6 +91,24 @@ def test_indec_set_validates_members(linear):
 def test_indec_set_rejects_mixed_algebras(linear):
     with pytest.raises(InputError):
         IndecSet.full(linear(3)) | IndecSet.full(linear(4))
+
+
+def test_closure_entry_points_reject_a_set_over_another_algebra(linear):
+    # A mask indexes its own algebra's indecomposables; read over another
+    # algebra it names other modules, so every entry point refuses it.
+    A, T3 = linear(4), IndecSet.full(linear(3))
+    calls = [
+        lambda: star(A, T3, T3),
+        lambda: star(A, IndecSet.full(A), T3),
+        lambda: sub_closure(A, T3),
+        lambda: fac_closure(A, T3),
+        lambda: bracket_n(A, T3, 2),
+        lambda: generation_time(A, T3),
+        lambda: is_strong_generator(A, T3),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +207,49 @@ def test_star_associative_exhaustive_small(linear):
         left = star_mask(A, star_mask(A, x, y), z)
         right = star_mask(A, x, star_mask(A, y, z))
         assert left == right, (x, y, z)
+
+
+def _opposite(A):
+    """A with its vertices reversed: the path of l arrows from s becomes the
+    one from n + 1 - s - l."""
+    rel = A.relation
+    return build_algebra(LINEAR, A.n, Relation(A.n + 1 - rel.start - rel.length, rel.length) if rel else None)
+
+
+def _duality(A, B):
+    """D as a bit table from A to B: window [a, b] to [n+1-b, n+1-a]."""
+    index = indec_index(B)
+    table = []
+    for u in indecomposables(A):
+        end = u.top_vertex + u.length - 1
+        table.append(1 << index[Uniserial(A.n + 1 - end, u.length)])
+    assert sum(table) == (1 << len(indecomposables(B))) - 1, "D is not a bijection"
+    return table
+
+
+def test_star_duality():
+    # D = Hom(-, k) with the vertices reversed turns 0 -> U -> X -> V -> 0
+    # over A into 0 -> DV -> DX -> DU -> 0 over the opposite algebra, so
+    # star(L, R) = D star(D R, D L).  A witness search that misses an
+    # extension on one side only breaks the equation; the oracle plays no part.
+    rng = random.Random(20261021)
+
+    def alg(n, rel=None):
+        return build_algebra(LINEAR, n, Relation(*rel) if rel else None)
+
+    cases = []
+    for A in (alg(3), alg(3, (1, 2))):
+        size = 1 << len(indecomposables(A))
+        cases.append((A, [(l, r) for l in range(size) for r in range(size)]))
+    for A, count in ((alg(4), 200), (alg(4, (1, 3)), 150), (alg(4, (1, 2)), 200), (alg(4, (2, 2)), 100), (alg(5), 6)):
+        size = 1 << len(indecomposables(A))
+        cases.append((A, [(rng.randrange(1, size), rng.randrange(1, size)) for _ in range(count)]))
+    for A, pairs in cases:
+        B = _opposite(A)
+        to_b, to_a = _duality(A, B), _duality(B, A)
+        for left, right in pairs:
+            dual = star_mask(B, _union(to_b, right), _union(to_b, left))
+            assert star_mask(A, left, right) == _union(to_a, dual), (A, left, right)
 
 
 def test_star_associative_sampled(linear):
@@ -357,7 +420,7 @@ def _reference_g_search(X, Vc, left_set) -> bool:
         for j, (c, d) in enumerate(Vc)
         if c <= a <= d <= b
     ]
-    if not hom_pairs or len(hom_pairs) > closure._SEARCH_HOM_PAIRS:
+    if not hom_pairs:
         return False
     tops = [(i, j) for i, j in hom_pairs if X[i][0] == Vc[j][0]]
     rest = [(i, j) for i, j in hom_pairs if X[i][0] != Vc[j][0]]
@@ -378,8 +441,6 @@ def _reference_g_search(X, Vc, left_set) -> bool:
 def _reference_minimal_kernels(X, Vc) -> set[frozenset]:
     """Minimal kernel window sets of the onto g: X -> Vc, as plain sets."""
     pairs = [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
-    if len(pairs) > closure._SEARCH_HOM_PAIRS:
-        return set()
     kernels = set()
     for r in range(len(pairs) + 1):
         for chosen in itertools.combinations(pairs, r):
@@ -392,25 +453,30 @@ def _window_mask(windows: frozenset) -> int:
     return sum(_window_bit(a, b) for a, b in windows)
 
 
+def _answer(X, Vc, left_mask: int) -> bool:
+    """The witness search's test: some minimal kernel set lies in left."""
+    return any(k & ~left_mask == 0 for k in _kernel_sets(tuple(X), Vc))
+
+
 def _recorded_searches(monkeypatch, A, rng, bits: int, per_bit: int):
-    """(X, Vc, left windows) of the surjection searches _realizable makes on
+    """(X, Vc, left windows) of the kernel-set lookups _realizable makes on
     ``bits`` seeded gap bits of A, at most ``per_bit`` from each."""
     indecs = indecomposables(A)
     full = 1 << len(indecs)
     calls: list = []
     left_set: frozenset = frozenset()
-    original = closure._g_search
+    original = closure._kernel_sets
 
     class Enough(Exception):
         pass
 
-    def recorder(X, Vc, left_mask):
+    def recorder(X, Vc):
         calls.append((tuple(X), tuple(Vc), left_set))
         if len(calls) >= quota:
             raise Enough
-        return original(X, Vc, left_mask)
+        return original(X, Vc)
 
-    monkeypatch.setattr(closure, "_g_search", recorder)
+    monkeypatch.setattr(closure, "_kernel_sets", recorder)
     decided = 0
     while decided < bits:
         left, right = rng.randrange(1, full), rng.randrange(1, full)
@@ -454,12 +520,40 @@ def test_kernel_sets_match_early_exit_reference(monkeypatch):
                 for left in lefts:
                     ls = frozenset((a + shift, b + shift) for a, b in left)
                     want = _reference_g_search(Xs, Vs, ls)
-                    assert _g_search(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, X, Vc, left, shift)
+                    assert _answer(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, X, Vc, left, shift)
                     rng.shuffle(Xs)
-                    assert _g_search(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, Xs, Vc, left, shift)
+                    assert _answer(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, Xs, Vc, left, shift)
                     seen[want] += 1
     assert seen[True] >= 200 and seen[False] >= 200, seen
     _kernel_sets.cache_clear()
+
+
+def test_quotient_alphabet_is_the_cover_rule():
+    # Rule (b).  Soundness: a copy [c, d] of V with no window [a, b] of X such
+    # that a = c and d <= b leaves no g: X -> V onto.  Exactness: _quotients
+    # keeps as letters exactly the right windows v that some g: X -> v is
+    # onto, the smaller ones only, as a quotient must have dimension < dim X.
+    rng = random.Random(20261020)
+    algebras = [A for n in range(2, 6) for A in all_linear_algebras(n)]
+    uncovered = dropped = 0
+    for _ in range(1500):
+        A = rng.choice(algebras)
+        wins = sorted((u.top_vertex, u.top_vertex + u.length - 1) for u in indecomposables(A))
+        X = tuple(sorted(rng.choice(wins) for _ in range(rng.randint(1, 4))))
+        # copies mostly start at a top of X, so that only their ends decide
+        tops = [w for w in wins if any(w[0] == a for a, _ in X)]
+        Vc = tuple(sorted(rng.choice(tops if rng.random() < 0.8 else wins) for _ in range(rng.randint(1, 3))))
+        if not all(any(a == c and d <= b for a, b in X) for c, d in Vc):
+            assert not _reference_minimal_kernels(X, Vc), (A.kupisch, X, Vc)
+            uncovered += 1
+        dim_x = sum(b - a + 1 for a, b in X)
+        right = [(w, _packed([w]), w[1] - w[0] + 1) for w in wins]
+        guard = _packed([(1, A.n)]) << closure._FIELD - 1
+        letters = {multi[0] for multi, _ in _quotients(right, X, _packed(X), dim_x, guard) if len(multi) == 1}
+        onto = {w for w, _, dim in right if dim < dim_x and _reference_minimal_kernels(X, (w,))}
+        assert letters == onto, (A.kupisch, X)
+        dropped += len(wins) - len(onto)
+    assert uncovered >= 300 and dropped >= 3000, (uncovered, dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,28 @@ def test_chain_length_validation(linear):
             find_coghost_chain(A, simples_set(A), simple(A, 1), n)
 
 
+def test_morphism_entry_points_reject_a_set_over_another_algebra(linear):
+    # T's mask and members index linear3's indecomposables, not linear4's
+    A, T3 = linear(4), IndecSet.full(linear(3))
+    Y = simple(A, 1)
+    X = ModuleSum.of(Y)
+    f = identity_morphism(A, X)
+    calls = [
+        lambda: is_coghost(A, f, T3),
+        lambda: is_ghost(A, f, T3),
+        lambda: irreducible_coghosts(A, T3),
+        lambda: coghost_chain_exists(A, T3, Y, 1),
+        lambda: ghost_chain_exists(A, T3, Y, 1),
+        lambda: find_coghost_chain(A, T3, Y, 1),
+        lambda: coghost_lemma_check(A, T3, 2),
+        lambda: left_approximation(A, X, T3),
+        lambda: approximation_kernel(A, X, T3),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
 def test_coghost_lemma_small_cases(linear):
     A = linear(3)
     assert coghost_lemma_check(A, simples_set(A), 3) == []
