@@ -137,16 +137,16 @@ def theorem2_spectrum(L: int) -> frozenset[int]:
     Pure arithmetic in L; empty for L <= 1 (the union with {0} that reports
     print for representation-finite algebras is applied by callers, not here).
     """
-    if L < 0:
-        raise InputError(f"layer length must be >= 0, got {L}")
+    if not _is_int(L) or L < 0:
+        raise InputError(f"layer length must be an integer >= 0, got {L!r}")
     return frozenset((L + d - 1) // d - 1 for d in range(1, L))
 
 
 def wd_generator(A: Algebra, spec: TorsionSpec, d: int) -> IndecSet:
     """W_d: all indecomposables with ll^{t_S} <= d (needs 1 <= d < algebra ll^{t_S})."""
     bound = algebra_llts(A, spec)
-    if not 1 <= d < bound:
-        raise InputError(f"d must satisfy 1 <= d < {bound}, got {d}")
+    if not _is_int(d) or not 1 <= d < bound:
+        raise InputError(f"d must be an integer with 1 <= d < {bound}, got {d!r}")
     members = [
         u for u in indecomposables(A) if _layer_length_uniserial(A, spec.vertices, u) <= d
     ]

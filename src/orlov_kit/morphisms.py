@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .closure import IndecSet, _bits, _check_algebra, _union, bracket_n, fac_closure, sub_closure
 from .homext import ARArrow, _linear_hom_dim, ar_quiver, hom_dim, interval_end
@@ -72,7 +73,16 @@ def morphism(A: Algebra, source: ModuleSum, target: ModuleSum, entries: dict) ->
     validate_module(A, source)
     validate_module(A, target)
     coeff = [[0] * len(target) for _ in range(len(source))]
-    for (s, t), value in entries.items():
+    for key, value in entries.items():
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 2
+            and all(map(_is_int, key))
+            and 0 <= key[0] < len(source)
+            and 0 <= key[1] < len(target)
+        ):
+            raise InputError(f"morphism entry keys must be in-range (source, target) indices, got {key!r}")
+        s, t = key
         if not _is_int(value):
             raise InputError(f"morphism coefficients must be integers, got {value!r}")
         if not value:
@@ -186,8 +196,8 @@ def is_ghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
 def tm_generator(A: Algebra, m: int) -> IndecSet:
     """T_m: the initial intervals M_[1,j] for j <= m together with all simples."""
     _require_linear(A)
-    if not 1 <= m < A.n:
-        raise InputError(f"m must satisfy 1 <= m < {A.n}, got {m}")
+    if not _is_int(m) or not 1 <= m < A.n:
+        raise InputError(f"m must be an integer with 1 <= m < {A.n}, got {m!r}")
     members = {Uniserial(1, j) for j in range(1, m + 1)}
     members |= {simple(A, i) for i in range(1, A.n + 1)}
     return IndecSet.of(A, members)
@@ -363,24 +373,36 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
 def radical_nilpotence_check(A: Algebra, chains: int = 10_000, seed: int = 20260814) -> dict:
     """Check that every composite of n = A.n radical maps vanishes.
 
-    Exhaustive over canonical basis chains when n <= 5 (the composite of a
-    chain of basis maps is nonzero iff top(source) <= end(final target), so
-    scalar choices are irrelevant, and reach masks from each source cover
-    every chain); randomized coefficient matrices between random sums
-    otherwise.  The report also carries the longest nonzero radical chain
-    length found, which should be n - 1.  In exhaustive mode ``chains`` is
-    the number of length-n basis chains and each nonzero composite is listed
-    once per (source, target) pair.
+    Both modes read one step table: the radical basis maps, i.e. the nonzero
+    homs minus the identities.  Exhaustive over basis chains when n <= 5 (the
+    composite of a chain of basis maps is nonzero iff top(source) <= end(final
+    target), so scalar choices are irrelevant, and reach masks from each
+    source cover every chain); random otherwise.  The report also carries the
+    longest nonzero radical chain length found, which should be n - 1.  In
+    exhaustive mode ``chains`` is the number of length-n basis chains and
+    each nonzero composite is listed once per (source, target) pair.
+
+    Random mode draws ``chains`` chains from ``seed``: a source sum of one or
+    two indecomposables, then n maps, each into a sum of one or two summands
+    that some radical basis map out of the current source reaches, with a
+    nonzero scalar from {-2, -1, 1, 2} on each allowed slot with probability
+    0.8.  A source with no radical map out ends its chain early, and that
+    composite is zero.  The table only picks targets: every map is built by
+    ``morphism`` (hom-support check) and every composite by ``compose``,
+    which the exhaustive mode never calls (it reads the endpoint rule off
+    the table), so the branch stays an independent check of composition.
     """
     _require_linear(A)
+    if not _is_int(chains) or chains < 1:
+        raise InputError(f"chains must be a positive integer, got {chains!r}")
     n = A.n
+    indecs = indecomposables(A)
+    ends, _, out_of = _chain_tables(A)
+    # with nothing killing them, the defined entries are the nonzero homs;
+    # the radical basis maps are those minus the identities
+    step = [s & ~(1 << x) for x, s in enumerate(_edge_masks(out_of, 0))]
     report: dict = {"n": n, "nonzero_composites": [], "mode": "exhaustive" if n <= 5 else "random"}
     if n <= 5:
-        indecs = indecomposables(A)
-        ends, _, out_of = _chain_tables(A)
-        # with nothing killing them, the defined entries are the nonzero homs;
-        # the radical basis maps are those minus the identities
-        step = [s & ~(1 << x) for x, s in enumerate(_edge_masks(out_of, 0))]
         longest = 0
         for s, start in enumerate(indecs):
             reach = 1 << s
@@ -404,44 +426,36 @@ def radical_nilpotence_check(A: Algebra, chains: int = 10_000, seed: int = 20260
 
     rng = random.Random(seed)
     report["seed"] = seed
-    indecs = indecomposables(A)
+    index = indec_index(A)
     nonzero_shorter = 0
     for _ in range(chains):
         mods = [_random_sum(rng, indecs)]
-        maps = []
+        composite = None
         for _ in range(n):
-            f = _random_radical_map(A, rng, mods[-1], indecs)
-            maps.append(f)
-            mods.append(f.target)
-        composite = maps[0]
-        for f in maps[1:]:
-            composite = compose(f, composite)
+            rows = [step[index[u]] for u in mods[-1].summands]
+            reach = reduce(or_, rows)
+            if not reach:  # no radical map leaves this sum: the composite is zero
+                break
+            mods.append(_random_sum(rng, [indecs[y] for y in _bits(reach)]))
+            entries = {
+                (s, t): rng.choice((-2, -1, 1, 2))
+                for s, row in enumerate(rows)
+                for t, v in enumerate(mods[-1].summands)
+                if row >> index[v] & 1 and rng.random() < 0.8
+            }
+            f = morphism(A, mods[-2], mods[-1], entries)
+            composite = f if composite is None else compose(f, composite)
+            nonzero_shorter += len(mods) > 2 and not composite.is_zero
+        else:
             if not composite.is_zero:
-                nonzero_shorter += 1
-        if not composite.is_zero:
-            report["nonzero_composites"].append(tuple(mods))
+                report["nonzero_composites"].append(tuple(mods))
     report["chains"] = chains
     report["nonzero_prefixes"] = nonzero_shorter  # shorter prefixes may be nonzero
     return report
 
 
-def _random_sum(rng: random.Random, indecs) -> ModuleSum:
-    return ModuleSum.from_iterable(rng.choice(indecs) for _ in range(rng.randint(1, 2)))
-
-
-def _random_radical_map(A: Algebra, rng: random.Random, source: ModuleSum, indecs) -> Morphism:
-    for _ in range(40):
-        target = _random_sum(rng, indecs)
-        slots = [
-            (s, t)
-            for s, src in enumerate(source.summands)
-            for t, tgt in enumerate(target.summands)
-            if src != tgt and _linear_hom_dim(src, tgt)
-        ]
-        if slots:
-            entries = {slot: rng.choice((-2, -1, 1, 2)) for slot in slots if rng.random() < 0.8}
-            return morphism(A, source, target, entries)
-    return zero_morphism(A, source, ModuleSum.of(indecs[0]))
+def _random_sum(rng: random.Random, pool) -> ModuleSum:
+    return ModuleSum.from_iterable(rng.choice(pool) for _ in range(rng.randint(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,13 @@ def test_verify_table_passes_and_is_deterministic(capsys):
     assert first == golden("verify.json")
 
 
+def test_verify_table_at_a_second_seed(capsys):
+    # the seed drives the random radical chains on linear6
+    code, out, _ = run_cli(capsys, "verify", "--seed", "5")
+    assert code == EXIT_OK
+    assert out == golden("verify_seed5.json")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

@@ -150,8 +150,9 @@ def test_theorem2_spectrum_values():
     assert theorem2_spectrum(1) == frozenset()
     assert theorem2_spectrum(2) == frozenset({1})
     assert theorem2_spectrum(5) == frozenset({1, 2, 4})
-    with pytest.raises(InputError):
-        theorem2_spectrum(-1)
+    for bad in (-1, True, 2.5, 5.0):
+        with pytest.raises(InputError):
+            theorem2_spectrum(bad)
 
 
 def test_wd_generator_membership(linear):
@@ -163,7 +164,7 @@ def test_wd_generator_membership(linear):
         W = wd_generator(A, spec, d)
         for u in indecomposables(A):
             assert (u in W) == (radical_layer_length(A, spec, u) <= d)
-    for bad in (0, 4):
+    for bad in (0, 4, 2.5, True, 1.0):
         with pytest.raises(InputError):
             wd_generator(A, spec, bad)
 

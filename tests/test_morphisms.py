@@ -30,8 +30,10 @@ from orlov_kit import (
     simple,
     tm_generator,
 )
+from orlov_kit import morphisms
 from orlov_kit.homext import ARArrow, interval_end
 from orlov_kit.morphisms import (
+    Morphism,
     approximation_kernel,
     arrow_morphism,
     basis_morphism,
@@ -67,6 +69,11 @@ def test_morphism_requires_hom_support(linear):
     for bad in (0.5, 1.0, True, "1"):
         with pytest.raises(InputError):
             morphism(A, ModuleSum.of(Uniserial(1, 2)), ModuleSum.of(simple(A, 1)), {(0, 0): bad})
+    # keys are in-range (source, target) index pairs: a negative index would
+    # wrap onto the last summand, where this hom exists
+    for key in ((-1, 0), (0, -1), (1, 0), (5, 0), (0, 1), (0,), (0, 0, 0), (True, 0), (0, 0.0), "ab"):
+        with pytest.raises(InputError):
+            morphism(A, ModuleSum.of(Uniserial(1, 2)), ModuleSum.of(simple(A, 1)), {key: 1})
 
 
 def test_compose_endpoint_rule(linear):
@@ -171,10 +178,9 @@ def test_tm_generator_members(linear):
         Uniserial(3, 1),
         Uniserial(4, 1),
     }
-    with pytest.raises(InputError):
-        tm_generator(linear(4), 0)
-    with pytest.raises(InputError):
-        tm_generator(linear(4), 4)
+    for bad in (0, 4, True, 2.0, 1.5):
+        with pytest.raises(InputError):
+            tm_generator(linear(4), bad)
 
 
 def test_irreducible_coghosts_examples(linear):
@@ -324,6 +330,29 @@ def test_radical_nilpotence_random(linear):
     assert report["nonzero_composites"] == []
     assert report["chains"] == 200
     assert report["nonzero_prefixes"] >= 0
+
+
+def test_radical_nilpotence_refuses_bad_chain_counts(linear):
+    for A in (linear(4), linear(6)):  # exhaustive and random mode
+        for bad in (0, -5, 2.5, True, "10"):
+            with pytest.raises(InputError):
+                radical_nilpotence_check(A, chains=bad)
+
+
+def test_radical_nilpotence_random_catches_a_broken_compose(linear, monkeypatch):
+    def compose_without_endpoint_rule(g, f):
+        rows = tuple(
+            tuple(
+                sum(f.entry(s, t) * g.entry(t, u) for t in range(len(f.target)))
+                for u in range(len(g.target))
+            )
+            for s in range(len(f.source))
+        )
+        return Morphism(f.source, g.target, rows)
+
+    monkeypatch.setattr(morphisms, "compose", compose_without_endpoint_rule)
+    report = radical_nilpotence_check(linear(6), chains=200, seed=11)
+    assert report["nonzero_composites"]
 
 
 # ---------------------------------------------------------------------------
