@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,15 @@ def test_algebra_summary(capsys):
     assert payload["global_dimension"] == 1
     assert payload["spi_class"] == "not-spi"
     assert payload["algebra"] == {"shape": "linear", "n": 4, "relation": None}
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # ``python -m orlov_kit`` from a checkout, with no installed script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "orlov_kit", "algebra", "--algebra", LIN3],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == run_cli(capsys, "algebra", "--algebra", LIN3)[1]
 
 
 def test_algebra_summary_cyclic(capsys):

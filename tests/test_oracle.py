@@ -36,10 +36,12 @@ from orlov_kit.oracle import (
     gf2_rank,
     hom_space_dim,
     mat_mul,
+    middle_summand_union,
     to_matrep,
     validate_matrep,
 )
 import orlov_kit.oracle as oracle
+from orlov_kit.closure import star_mask
 
 from conftest import all_linear_algebras
 
@@ -229,6 +231,16 @@ def test_middle_terms_guards(linear, cyclic_fixture):
         )
 
 
+def test_middle_terms_refuses_a_non_integer_cap(linear):
+    A = linear(4)
+    V, U = ModuleSum.of(Uniserial(1, 1)), ModuleSum.of(Uniserial(2, 1))
+    for cap in (2.5, 10.0, True, None):
+        with pytest.raises(InputError):
+            middle_terms(A, V, U, cap=cap)
+        with pytest.raises(InputError):
+            middle_summand_union(A, V, U, cap)
+
+
 def test_middle_terms_invalid_end_beats_cap(linear):
     # An end that is not a module of A is an input error even when the pair
     # is also over the cap: validation runs before the refusal.
@@ -342,6 +354,7 @@ def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
                 found = {original(_build_middle(Urep, Vrep, pairs, bits)) for bits in orbit}
                 assert len(found) == 1, (A.kupisch, V, U, orbit)
                 middles.append(found.pop())
+            oracle._touching_middles.cache_clear()  # count on a cold cache
             calls.clear()
             assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
             assert len(calls) == len(orbits) - 1, (A.kupisch, V, U)  # the zero orbit is U + V
@@ -363,9 +376,104 @@ def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
         return original(X)
 
     monkeypatch.setattr(oracle, "decompose", counting)
+    oracle._touching_middles.cache_clear()  # count on a cold cache
     middles = middle_terms(A, V, U)
     assert len(calls) == 23
     assert len(middles) == 5
+
+
+def test_middle_terms_split_off_rule(linear, linear3_ab):
+    # A pattern's middle is its untouched summands plus a middle of the
+    # sub-pair it touches, as ``_touching_middles`` lists them.  Checked by
+    # decomposing each pattern of a seeded sample of sweep pairs directly.
+    rng = random.Random(21)
+    for A in (linear(3), linear3_ab, linear(4)):
+        modules = list(_multisets(A, 2, 2, 10))
+        sampled = 0
+        while sampled < 40:
+            V, U = rng.choice(modules), rng.choice(modules)
+            if V.dim + U.dim > 10:
+                continue
+            Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+            if not pairs:
+                continue
+            sampled += 1
+            patterns = range(1, 1 << len(pairs))
+            for bits in rng.sample(patterns, min(len(patterns), 64)):
+                touched_v = {i for idx, (i, _, _) in enumerate(pairs) if bits >> idx & 1}
+                touched_u = {j for idx, (_, j, _) in enumerate(pairs) if bits >> idx & 1}
+                rest = [v for i, v in enumerate(V.summands) if i not in touched_v]
+                rest += [u for j, u in enumerate(U.summands) if j not in touched_u]
+                V1 = ModuleSum.from_iterable(V.summands[i] for i in touched_v)
+                U1 = ModuleSum.from_iterable(U.summands[j] for j in touched_u)
+                want = {ModuleSum.from_iterable(rest + list(M))
+                        for M in oracle._touching_middles(A, V1, U1)}
+                got = decompose(_build_middle(Urep, Vrep, pairs, bits))
+                assert got in want, (A.kupisch, V, U, bits)
+
+
+def test_middle_terms_reuses_coupled_sub_pairs(linear, monkeypatch):
+    # W = S4 is projective on the line, so it has no ext against U and is
+    # split off every class of (V + W, U): each coupled sub-pair of that
+    # pair is one of (V, U), and the first call decomposed them all.
+    A = linear(4)
+    V = ModuleSum.of(Uniserial(1, 1), Uniserial(1, 2))
+    U = ModuleSum.of(Uniserial(2, 1), Uniserial(3, 1), Uniserial(2, 2))
+    W = ModuleSum.of(Uniserial(4, 1))
+    assert not any(oracle._pair_ext_generators(A, w, u) for w in W.summands for u in U.summands)
+    calls = []
+    original = oracle.decompose
+
+    def counting(X):
+        calls.append(X)
+        return original(X)
+
+    monkeypatch.setattr(oracle, "decompose", counting)
+    oracle._touching_middles.cache_clear()
+    first = middle_terms(A, V, U)
+    assert calls
+    calls.clear()
+    assert middle_terms(A, V + W, U) == frozenset(X + W for X in first)
+    assert calls == []
+
+
+def test_star_matches_oracle_middles_along_generation_time(linear, linear3_ab):
+    # Every (T, [T]_k) pair that generation_time evaluates, over every T:
+    # star_mask(T, [T]_k) must be the union of middle summands over the
+    # multiplicity-free ends U in add(T), V in add([T]_k) with
+    # dim U + dim V <= 10.  The hull gap of these pairs holds 4 bits, all
+    # on linear3_ab and all refuted, so a star that realized every gap bit
+    # fails here.  linear4 is left out: the same check had not finished
+    # after 300 s there.
+    for A, count in ((linear(3), 84), (linear3_ab, 34)):
+        indecs = indecomposables(A)
+        full = (1 << len(indecs)) - 1
+
+        def ends(mask):
+            members = [u for k, u in enumerate(indecs) if mask >> k & 1]
+            return [ModuleSum.from_iterable(c)
+                    for r in range(1, len(members) + 1) for c in itertools.combinations(members, r)]
+
+        unions: dict = {}
+        checked = 0
+        for T in range(1, full + 1):
+            cur = T
+            while cur != full:
+                nxt = star_mask(A, T, cur)
+                got = 0
+                for U in ends(T):
+                    for V in ends(cur):
+                        if U.dim + V.dim > 10:
+                            continue
+                        if (V, U) not in unions:
+                            unions[V, U] = sum(1 << indecs.index(u) for u in middle_summand_union(A, V, U, 10))
+                        got |= unions[V, U]
+                assert got == nxt, (A.kupisch, T, cur)
+                checked += 1
+                if nxt == cur:
+                    break
+                cur = nxt
+        assert checked == count
 
 
 def test_middle_terms_builds_nothing_without_ext(linear, monkeypatch):
@@ -432,6 +540,15 @@ def test_star_sweep_small(linear):
     report = verify_star_sweep(linear(3), cap=10, max_mult=2, max_support=2)
     assert report["mismatches"] == []
     assert (report["pairs_checked"], report["support_pairs"]) == (3574, 441)
+
+
+def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab):
+    # One ``_touching_middles`` entry per fully coupled sub-pair of the
+    # sweep's pairs, and nothing else: the cache's size is that count.
+    for A, entries in ((linear(3), 139), (linear3_ab, 24)):
+        oracle._touching_middles.cache_clear()
+        verify_star_sweep(A, cap=10, max_mult=2, max_support=2)
+        assert oracle._touching_middles.cache_info().currsize == entries
 
 
 def test_vacuous_sweeps_are_input_errors(linear):
