@@ -12,7 +12,12 @@ of direct sums can liberate summands that no single pair of uniserials
 produces, so star is computed exactly from two bounds and a search:
 
 * floor - members plus the middle summands of the pairwise nonzero classes
-  (merged window + overlap window); every floor bit is realizable.
+  (merged window + overlap window); every floor bit is realizable.  It is
+  read from byte-chunked tables (`_floor_tables`): for each quotient q and
+  each 8-bit chunk c of the left mask, a 256-entry table holds the union of
+  the pair-table entries (q, 8c + u) over the bits u of the byte.  Built
+  once per algebra in count * ceil(count / 8) * 256 steps, they cost the
+  floor one lookup per (right bit, nonzero left byte).
 * hull - star is monotone under sub-/quotient-closure of both sides, and on
   closed sides the floor is the whole answer, so star(L, R) lies in
   hull = floor(Sub L, Sub R) & floor(Fac L, Fac R).  The floor lies in the
@@ -92,8 +97,8 @@ from .nakayama import (
 
 #: refuse exhaustive spectrum enumeration above this many indecomposables
 #: unless the caller forces it.  20 puts the hereditary n <= 5 algebras on
-#: the fast side and everything from n = 6 up (2^21 closure runs and beyond)
-#: behind --force.
+#: the fast side and everything from n = 6 up (21 indecomposables, of which
+#: 2 are forced simples: 2^19 closure runs, and beyond) behind --force.
 OSPEC_REFUSAL_LIMIT = 20
 
 
@@ -107,6 +112,13 @@ class IndecSet:
 
     algebra: Algebra
     mask: int
+
+    def __post_init__(self) -> None:
+        # A Nakayama algebra's indecomposables are the uniserials (i, l) with
+        # l <= c_i, so their count is the sum of the Kupisch entries.
+        count = self.algebra.dimension
+        if not _is_int(self.mask) or self.mask < 0 or self.mask >> count:
+            raise InputError(f"mask {self.mask!r} is not a set of the {count} indecomposables")
 
     @staticmethod
     def empty(A: Algebra) -> "IndecSet":
@@ -264,14 +276,37 @@ def _pair_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _floor_tables(A: Algebra) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """tables[q][c][byte] = union of _pair_table(A)[q][8c + u] over the bits
+    u of byte.  The last chunk's table stops at the last indecomposable, so
+    a left bit past it indexes out of range instead of being dropped."""
+    pair = _pair_table(A)
+    count = len(pair)
+    tables = []
+    for row in pair:
+        chunks = []
+        for base in range(0, count, 8):
+            table = [0] * (1 << min(8, count - base))
+            for byte in range(1, len(table)):
+                low = byte & -byte
+                table[byte] = table[byte ^ low] | row[base + low.bit_length() - 1]
+            chunks.append(tuple(table))
+        tables.append(tuple(chunks))
+    return tuple(tables)
+
+
 def _floor_mask(A: Algebra, left: int, right: int) -> int:
     """Members plus pairwise middle summands: a realizable subset of star."""
-    table = _pair_table(A)
+    tables = _floor_tables(A)
+    chunks = [(c, byte) for c, byte in enumerate(left.to_bytes(-(-left.bit_length() // 8), "little")) if byte]
     out = left | right
-    for q in _bits(right):
-        row = table[q]
-        for u in _bits(left):
-            out |= row[u]
+    while right:
+        low = right & -right
+        rows = tables[low.bit_length() - 1]
+        for c, byte in chunks:
+            out |= rows[c][byte]
+        right ^= low
     return out
 
 
@@ -678,13 +713,13 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
     indecs = indecomposables(A)
-    if len(indecs) > OSPEC_REFUSAL_LIMIT and not force:
-        raise RefusalError(
-            f"{len(indecs)} indecomposables means 2^{len(indecs)} candidate subsets; "
-            "pass force=True (CLI: --force) to run anyway"
-        )
     _, _, required = _enumeration_tables(A)
     free = len(indecs) - required.bit_count()
+    if len(indecs) > OSPEC_REFUSAL_LIMIT and not force:
+        raise RefusalError(
+            f"{len(indecs)} indecomposables, {required.bit_count()} of them forced simples, "
+            f"leave 2^{free} candidate subsets; pass force=True (CLI: --force) to run anyway"
+        )
     total = 1 << free
     if jobs <= 1 or total < 1 << 12:
         times, witness = _scan_masks(A, 0, total)

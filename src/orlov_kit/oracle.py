@@ -59,6 +59,7 @@ from .nakayama import (
     ModuleSum,
     RefusalError,
     Uniserial,
+    _as_sum,
     _is_int,
     indecomposables,
     validate_module,
@@ -652,8 +653,10 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
         raise InputError("middle terms are enumerated for linear shapes only")
     if not _is_int(cap):
         raise InputError(f"cap must be an integer, got {cap!r}")
-    V = V if isinstance(V, ModuleSum) else ModuleSum.of(V)
-    U = U if isinstance(U, ModuleSum) else ModuleSum.of(U)
+    V, U = _as_sum(V), _as_sum(U)
+    for end in (V, U):
+        if not isinstance(end, ModuleSum):
+            raise InputError(f"an extension end must be a ModuleSum or a Uniserial, got {end!r}")
     validate_module(A, V)  # each end once, and before the cap refusal
     validate_module(A, U)
     if V.dim + U.dim > cap:

@@ -157,6 +157,13 @@ def test_ospec_and_jobs_determinism(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == golden("ospec_linear3_ab.json")
 
+    # the hereditary spectra whose floors dominate the scan; linear5 has
+    # 2^13 candidate subsets, enough for --jobs to start a pool
+    for path, name, jobs in ((LIN4, "linear4", "1"), (LIN5, "linear5", "1"), (LIN5, "linear5", "3")):
+        code, out, _ = run_cli(capsys, "ospec", "--algebra", path, "--jobs", jobs)
+        assert code == EXIT_OK
+        assert out == golden(f"ospec_{name}.json")
+
     # the relation spectra: the only ones whose gap bits are refuted
     for start, length in ((1, 2), (2, 2), (1, 3)):
         path = tmp_path / f"linear4_rel{start}_{length}.json"

@@ -88,6 +88,25 @@ def test_indec_set_validates_members(linear):
         IndecSet.of(linear(3), [Uniserial(2, 3)])  # longer than P(2)
 
 
+def test_indec_set_refuses_out_of_range_masks(linear):
+    # linear3 has 6 indecomposables: a mask is a subset of bits 0..5
+    A = linear(3)
+    assert IndecSet(A, (1 << 6) - 1).is_full
+    for mask in (1 << 40, 1 << 6, -3, -1, 2.0, True):
+        with pytest.raises(InputError):
+            IndecSet(A, mask)
+    full = IndecSet.full(A)
+    calls = [
+        lambda: star(A, IndecSet(A, 1 << 40), full),
+        lambda: generation_time(A, IndecSet(A, 1 << 40)),
+        lambda: sub_closure(A, IndecSet(A, -3)),
+        lambda: IndecSet(A, -1).members(),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
 def test_indec_set_rejects_mixed_algebras(linear):
     with pytest.raises(InputError):
         IndecSet.full(linear(3)) | IndecSet.full(linear(4))
@@ -304,6 +323,40 @@ def test_hull_needs_no_ceiling(linear):
             ceiling = _reference_ceiling(A, left, right)
             assert _star_hull(A, left, right) == (floor, ceiling & sub_floor & fac_floor), (A, left, right)
             assert floor & ~_star_hull(A, left, right)[1] == 0, (A, left, right)
+
+
+def _reference_floor(A, left, right):
+    """The pairwise floor as a double walk over the bits of both sides."""
+    table = closure._pair_table(A)
+    out = left | right
+    for q in _bits(right):
+        for u in _bits(left):
+            out |= table[q][u]
+    return out
+
+
+def test_floor_tables_match_pair_table_reference():
+    # Counts 3, 6, 10, 15 and 21: every one but 3 and 6 ends in a partial
+    # byte, and 10, 15, 21 set that byte's top bit with their last member.
+    rng = random.Random(20261019)
+    algebras = [build_algebra(LINEAR, n, None) for n in range(2, 7)]
+    algebras += [build_algebra(LINEAR, 4, Relation(*rel)) for rel in ((1, 2), (2, 2), (1, 3))]
+    for A in algebras:
+        count = len(indecomposables(A))
+        full = (1 << count) - 1
+        top = 1 << count - 1
+        singles = [1 << k for k in range(count)]
+        pairs = [(full, full), (top, full), (full, top), (top, top)]
+        pairs += [(s, full) for s in singles] + [(full, s) for s in singles]
+        pairs += [(s, t) for s in singles for t in singles]
+        for _ in range(1000):
+            left, right = rng.randrange(full + 1), rng.randrange(full + 1)
+            pairs += [(left, right), (left | top, right | top)]
+        for left, right in pairs:
+            assert _floor_mask(A, left, right) == _reference_floor(A, left, right), (A, left, right)
+        # a bit past the last indecomposable is refused, not dropped
+        with pytest.raises(IndexError):
+            _floor_mask(A, 1 << count, full)
 
 
 def test_realizable_decisions_match_golden():
@@ -633,7 +686,8 @@ def test_orlov_spectrum_small_line(linear):
 
 
 def test_orlov_spectrum_refuses_large_input(linear):
-    with pytest.raises(RefusalError):
+    # 21 indecomposables, 2 of them forced simples (P(6) = S(6), I(1) = S(1))
+    with pytest.raises(RefusalError, match=r"2\^19 candidate subsets"):
         orlov_spectrum(linear(6))
 
 

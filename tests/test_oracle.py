@@ -241,6 +241,21 @@ def test_middle_terms_refuses_a_non_integer_cap(linear):
             middle_summand_union(A, V, U, cap)
 
 
+def test_middle_terms_refuses_an_end_of_another_type(linear):
+    A = linear(3)
+    good = ModuleSum.of(Uniserial(2, 1))
+    for bad in ([Uniserial(1, 1)], "1-1", None):
+        for V, U in ((bad, good), (good, bad)):
+            with pytest.raises(InputError):
+                middle_terms(A, V, U)
+            with pytest.raises(InputError):
+                middle_summand_union(A, V, U, 12)
+    # a bare uniserial end is read as a one-summand module
+    assert middle_terms(A, Uniserial(1, 1), Uniserial(2, 1)) == middle_terms(
+        A, ModuleSum.of(Uniserial(1, 1)), good
+    )
+
+
 def test_middle_terms_invalid_end_beats_cap(linear):
     # An end that is not a module of A is an input error even when the pair
     # is also over the cap: validation runs before the refusal.
