@@ -654,14 +654,13 @@ def _enumeration_tables(A: Algebra):
     top_bit = tuple(1 << (u.top_vertex - 1) for u in indecs)
     soc_bit = tuple(1 << (socle_vertex(A, u) - 1) for u in indecs)
     index = indec_index(A)
-    required = 0
-    for i in range(1, A.n + 1):
-        s = simple(A, i)
-        if A.c(i) == 1:  # projective simple
-            required |= 1 << index[s]
-        if injective(A, i) == s:  # injective simple
-            required |= 1 << index[s]
+    required = sum(1 << index[simple(A, i)] for i in _forced_vertices(A))
     return top_bit, soc_bit, required
+
+
+def _forced_vertices(A: Algebra) -> list[int]:
+    """The vertices whose simple is projective or injective."""
+    return [i for i in range(1, A.n + 1) if A.c(i) == 1 or injective(A, i) == simple(A, i)]
 
 
 def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
@@ -712,12 +711,12 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
-    indecs = indecomposables(A)
-    _, _, required = _enumeration_tables(A)
-    free = len(indecs) - required.bit_count()
-    if len(indecs) > OSPEC_REFUSAL_LIMIT and not force:
+    count = A.dimension  # the number of indecomposables, none built yet
+    forced = len(_forced_vertices(A))
+    free = count - forced
+    if count > OSPEC_REFUSAL_LIMIT and not force:
         raise RefusalError(
-            f"{len(indecs)} indecomposables, {required.bit_count()} of them forced simples, "
+            f"{count} indecomposables, {forced} of them forced simples, "
             f"leave 2^{free} candidate subsets; pass force=True (CLI: --force) to run anyway"
         )
     total = 1 << free

@@ -685,10 +685,15 @@ def test_orlov_spectrum_small_line(linear):
         assert generation_time(A, IndecSet.of(A, witness.summands)) == t
 
 
-def test_orlov_spectrum_refuses_large_input(linear):
+def test_orlov_spectrum_refuses_large_input(linear, monkeypatch):
     # 21 indecomposables, 2 of them forced simples (P(6) = S(6), I(1) = S(1))
     with pytest.raises(RefusalError, match=r"2\^19 candidate subsets"):
         orlov_spectrum(linear(6))
+    # the refusal counts from the Kupisch series and builds no module list
+    monkeypatch.setattr(closure, "indecomposables", None)
+    monkeypatch.setattr(closure, "indec_index", None)
+    with pytest.raises(RefusalError, match=r"20100 indecomposables, 2 of them forced simples, leave 2\^20098"):
+        orlov_spectrum(build_algebra(LINEAR, 200, None))
 
 
 def test_orlov_spectrum_parallel_matches_serial(linear):
