@@ -90,7 +90,6 @@ from .nakayama import (
     indec_index,
     indecomposables,
     injective,
-    simple,
     socle_vertex,
     validate_uniserial,
 )
@@ -654,13 +653,14 @@ def _enumeration_tables(A: Algebra):
     top_bit = tuple(1 << (u.top_vertex - 1) for u in indecs)
     soc_bit = tuple(1 << (socle_vertex(A, u) - 1) for u in indecs)
     index = indec_index(A)
-    required = sum(1 << index[simple(A, i)] for i in _forced_vertices(A))
+    required = sum(1 << index[Uniserial(i, 1)] for i in _forced_vertices(A))
     return top_bit, soc_bit, required
 
 
 def _forced_vertices(A: Algebra) -> list[int]:
-    """The vertices whose simple is projective or injective."""
-    return [i for i in range(1, A.n + 1) if A.c(i) == 1 or injective(A, i) == simple(A, i)]
+    """The vertices whose simple is projective (P(i) has length 1) or
+    injective (I(i) has length 1)."""
+    return [i for i in range(1, A.n + 1) if A.c(i) == 1 or injective(A, i).length == 1]
 
 
 def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
