@@ -336,8 +336,9 @@ def _reference_floor(A, left, right):
 
 
 def test_floor_tables_match_pair_table_reference():
-    # Counts 3, 6, 10, 15 and 21: every one but 3 and 6 ends in a partial
-    # byte, and 10, 15, 21 set that byte's top bit with their last member.
+    # Counts 3, 6, 10, 15 and 21: none is a multiple of 8, so each mask ends
+    # in a partial byte (after a full one for 10, 15, 21), and `top` sets
+    # that byte's highest bit.
     rng = random.Random(20261019)
     algebras = [build_algebra(LINEAR, n, None) for n in range(2, 7)]
     algebras += [build_algebra(LINEAR, 4, Relation(*rel)) for rel in ((1, 2), (2, 2), (1, 3))]
