@@ -29,9 +29,26 @@ produces, so star is computed exactly from two bounds and a search:
   a < c <= b + 1 <= d <= a + c_a - 1 and middle M[a, d] + M[c, b]; M[c, b]
   is a tail of q, and M[a, d] stacks q on [b + 1, d], a tail of u as
   c <= b + 1, which fits as d - b <= c_a - (b - a + 1).
-* gap bits (hull minus floor) are decided one by one by an explicit
-  witness search over F2 (`_realizable`), memoised per (left, right, bit).
-  Four exact rules bound its work per candidate:
+* hom support - a summand of a middle that is in neither side receives a
+  nonzero map from the left side and sends one to the right side.  Take
+  0 -> U -> E -> V -> 0 with U in add(left), V in add(right), and W an
+  indecomposable summand of E with projection p: E -> W and inclusion
+  i: W -> E, p i = id.  Let g: E -> V be the quotient map.  If W is not in
+  add(right) and every map from a summand of U to W is zero, p kills
+  U = ker g, so p = q g for some q: V -> W; then q (g i) = id, so W is a
+  summand of V, hence in add(right) by Krull-Schmidt: a contradiction.
+  Dually, if W is not in add(left) and every map from W to a summand of V
+  is zero, g i = 0, so i lands in U and W is a summand of U.  The proof
+  uses only exactness and Krull-Schmidt, so it holds with relations too.
+  The floor contains left | right, so no gap bit lies in either side, and
+  a gap bit w with no u in left having Hom(u, w) != 0, or no v in right
+  having Hom(w, v) != 0, is refuted with no search.  `_hom_support` holds
+  the two masks per w, from the line's rule Hom([a, b], [c, d]) != 0 iff
+  c <= a <= d <= b.
+* gap bits (hull minus floor) that the hom-support rule leaves are decided
+  one by one by an explicit witness search over F2 (`_realizable`),
+  memoised per (left, right, bit).  Four exact rules bound its work per
+  candidate:
   (a) quotient multisets grow only while their dimension vector stays under
       the middle's and their dimension below it; both conditions are
       monotone in the multiset, so pruning at a prefix loses no candidate;
@@ -78,7 +95,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .homext import ext1_nonzero, middle_term
+from .homext import _linear_hom_dim, ext1_nonzero, middle_term
 from .nakayama import (
     INFINITE,
     Algebra,
@@ -295,6 +312,21 @@ def _floor_tables(A: Algebra) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tables)
 
 
+@lru_cache(maxsize=None)
+def _hom_support(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(into, out): into[w] has the bits of the u with Hom(u, w) != 0, out[w]
+    those of the v with Hom(w, v) != 0."""
+    indecs = indecomposables(A)
+    into = [0] * len(indecs)
+    out = [0] * len(indecs)
+    for ui, u in enumerate(indecs):
+        for wi, w in enumerate(indecs):
+            if _linear_hom_dim(u, w):
+                into[wi] |= 1 << ui
+                out[ui] |= 1 << wi
+    return tuple(into), tuple(out)
+
+
 def _floor_mask(A: Algebra, left: int, right: int) -> int:
     """Members plus pairwise middle summands: a realizable subset of star."""
     tables = _floor_tables(A)
@@ -324,13 +356,17 @@ def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def star_mask(A: Algebra, left: int, right: int) -> int:
-    """Exact star on bitmasks: floor, then arbitrate the hull gap."""
+    """Exact star on bitmasks: floor, then arbitrate the hull gap, refuting
+    by hom support before any witness search."""
     if left == 0 or right == 0:
         return left | right
     floor, hull = _star_hull(A, left, right)
-    for k in _bits(hull & ~floor):
-        if _realizable(A, left, right, k):
-            floor |= 1 << k
+    gap = hull & ~floor
+    if gap:
+        into, out = _hom_support(A)
+        for k in _bits(gap):
+            if into[k] & left and out[k] & right and _realizable(A, left, right, k):
+                floor |= 1 << k
     return floor
 
 
@@ -707,7 +743,8 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
 
     Witnesses are deterministic (smallest bitmask per time), also across
     parallel runs: chunk minima merge to the global minimum.  The pool forks
-    all its workers at the first submit, so it gets at most chunks or CPUs.
+    all its workers at the first submit, so it gets at most jobs or CPUs,
+    and the subsets are cut into one chunk per worker it starts.
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
@@ -720,14 +757,15 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
             f"leave 2^{free} candidate subsets; pass force=True (CLI: --force) to run anyway"
         )
     total = 1 << free
-    if jobs <= 1 or total < 1 << 12:
+    workers = min(jobs, os.cpu_count() or 1) if total >= 1 << 12 else 1
+    if workers == 1:
         times, witness = _scan_masks(A, 0, total)
     else:
-        chunk = -(-total // jobs)
+        chunk = -(-total // workers)
         bounds = [(A, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         times = set()
         witness = {}
-        with ProcessPoolExecutor(max_workers=min(jobs, len(bounds), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             for part_times, part_witness in pool.map(_scan_chunk, bounds):
                 times |= part_times
                 for t, mask in part_witness.items():

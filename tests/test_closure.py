@@ -53,6 +53,7 @@ from orlov_kit.closure import (
     star_mask,
 )
 from orlov_kit.nakayama import indec_index
+from orlov_kit.oracle import hom_space_dim, to_matrep
 
 from conftest import all_linear_algebras
 
@@ -372,6 +373,53 @@ def test_realizable_decisions_match_golden():
         _kernel_sets.cache_clear()
         got = [[left, right, w, _realizable(A, left, right, w)] for left, right, w, _ in entry["decisions"]]
         assert got == entry["decisions"], name
+    _realizable.cache_clear()
+    _kernel_sets.cache_clear()
+
+
+def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
+    # star_mask sends a gap bit w to the witness search only when some u in
+    # left has Hom(u, w) != 0 and some v in right has Hom(w, v) != 0, read
+    # here from the GF(2) oracle, which shares no code with the closure's
+    # hom table.  The bits searched must be exactly those (the recorder
+    # answers "refuted" without searching), and every bit the rule refutes
+    # must be refuted by the search as well.
+    rng = random.Random(20261022)
+
+    def alg(n, rel=None):
+        return build_algebra(LINEAR, n, Relation(*rel) if rel else None)
+
+    searched = []
+
+    def recorder(A, left, right, k):
+        searched.append(k)
+        return False
+
+    monkeypatch.setattr(closure, "_realizable", recorder)
+    kills = {}
+    cases = [(alg(3), 600), (alg(4), 300), (alg(5), 60), (alg(4, (1, 2)), 300), (alg(4, (2, 2)), 300), (alg(4, (1, 3)), 300)]
+    for A, count in cases:
+        indecs = indecomposables(A)
+        reps = [to_matrep(A, u) for u in indecs]
+        hom = [[hom_space_dim(x, y) != 0 for y in reps] for x in reps]
+        full = 1 << len(indecs)
+        kills[A] = 0
+        for _ in range(count):
+            left, right = rng.randrange(1, full), rng.randrange(1, full)
+            floor, hull = _star_hull(A, left, right)
+            gap = set(_bits(hull & ~floor))
+            reach = {
+                w for w in gap
+                if any(hom[u][w] for u in _bits(left)) and any(hom[w][v] for v in _bits(right))
+            }
+            searched.clear()
+            assert star_mask.__wrapped__(A, left, right) == floor, (A.kupisch, left, right)
+            assert sorted(searched) == sorted(reach), (A.kupisch, left, right)
+            for w in gap - reach:
+                assert not _realizable(A, left, right, w), (A.kupisch, left, right, w)
+            kills[A] += len(gap - reach)
+    # a rule that refutes nothing would pass the checks above
+    assert kills[alg(4)] > 0, kills
     _realizable.cache_clear()
     _kernel_sets.cache_clear()
 
@@ -712,9 +760,11 @@ def test_orlov_spectrum_rejects_nonpositive_jobs(linear):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the number
+    of chunks mapped, maps in-process."""
 
     workers: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
@@ -726,21 +776,37 @@ class _InlinePool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.chunks.append(len(items))
         return map(fn, items)
 
 
 def test_orlov_spectrum_pool_size_is_capped(linear, monkeypatch):
     # The pool forks every worker at its first submit, so it gets no more
-    # than min(jobs, chunks, CPUs).  No real worker starts in this test.
+    # than min(jobs, chunks, CPUs); one worker means no pool at all.  No real
+    # worker starts in this test.
     A = linear(5)
     serial = orlov_spectrum(A)
     monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
-    for cpus, jobs, want in ((2, 3, 2), (8, 3, 3), (None, 64, 1), (10**6, 10**5, 8192)):
+    for cpus, jobs, want in ((2, 3, [2]), (8, 3, [3]), (None, 64, []), (10**6, 10**5, [8192])):
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         _InlinePool.workers = []
         result = orlov_spectrum(A, jobs=jobs)
-        assert _InlinePool.workers == [want], (cpus, jobs)
+        assert _InlinePool.workers == want, (cpus, jobs)
         assert result.spectrum == serial.spectrum and result.witnesses == serial.witnesses
+
+
+def test_orlov_spectrum_chunks_follow_started_workers(linear, monkeypatch):
+    # --jobs above the CPU count starts only cpu_count workers, so it must
+    # not cut the 2^13 subsets of linear5 into 4096 chunks either.
+    A = linear(5)
+    serial = orlov_spectrum(A, jobs=1)
+    monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _InlinePool.workers, _InlinePool.chunks = [], []
+    result = orlov_spectrum(A, jobs=4096)
+    assert _InlinePool.workers == [2] and _InlinePool.chunks == [2]
+    assert result.spectrum == serial.spectrum and result.witnesses == serial.witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,15 @@ def test_star_sweep_small(linear):
     assert (report["pairs_checked"], report["support_pairs"]) == (3574, 441)
 
 
+def test_star_sweep_support_three(linear, linear3_ab):
+    # Sides of three summands reach gap bits that the support-2 sweeps never
+    # build, so star's hom-support refutations meet the oracle here too.
+    for A, counts in ((linear(3), (12569, 1500)), (linear3_ab, (8089, 625))):
+        report = verify_star_sweep(A, cap=10, max_mult=2, max_support=3)
+        assert report["mismatches"] == [], (A.kupisch, report["mismatches"])
+        assert (report["pairs_checked"], report["support_pairs"]) == counts
+
+
 def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab):
     # One ``_touching_middles`` entry per fully coupled sub-pair of the
     # sweep's pairs, and nothing else: the cache's size is that count.
