@@ -1,0 +1,151 @@
+"""Run alternating parent/change benchmark pairs and write them to a BENCH file.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --pairs N --seed S \
+        --out BENCH_<n>.json [--claim METRIC]
+
+PARENT and CHANGE are checkouts of the two commits.  Pair i runs
+``perfbench/run.py --workload NAME --seed S+i --seconds R --trace 0`` once
+from each checkout, one run at a time; the parent goes first on even i and
+the change on odd i.  R is ``run_seconds`` from the change's
+``BENCHMARK.json``, so both sides run as long as the benchmark says.
+
+The summary has each side's median, q1 and q3 (inclusive quartiles) of every
+end-to-end metric, the pairs the change won (lower is better for all of
+them, ties count for neither side), the ratio of the medians, and the
+``failed``/``attempted`` counts.  With ``--claim METRIC`` it becomes the
+file's ``claim``, otherwise the workload's entry under ``no_regression``.
+The pairs are appended to the file's ``pairs``; an existing file keeps its
+other keys, so one file collects a claim and several no-regression series.
+
+A run that is not ``correct``, has a failed command or exits nonzero stops
+the tool before anything is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+
+
+class RunError(Exception):
+    """A benchmark run that cannot go into a BENCH file."""
+
+
+def parse_run(stdout: str) -> dict:
+    """The result line of one ``--trace 0`` run as the fields a pair keeps.
+
+    Refuses a run that is not correct or has a failed command."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RunError("the run printed no result line") from None
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise RunError(f"correct={result.get('correct')!r}, failed={result.get('failed')!r}")
+    return {
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        **{m: result["metrics"][m]["value"] for m in METRICS},
+    }
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarise(pairs: list[dict]) -> dict:
+    """Per-side quartiles, change wins and median ratio of each metric."""
+    if len(pairs) < 2:
+        raise RunError("a summary needs at least two pairs")
+    out = {
+        "pairs": len(pairs),
+        "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
+        "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
+    }
+    for m in METRICS:
+        parent = [p["parent"][m] for p in pairs]
+        change = [p["change"][m] for p in pairs]
+        out[m] = {
+            "parent": _quartiles(parent),
+            "change": _quartiles(change),
+            "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
+            "ratio_of_medians": round(statistics.median(change) / statistics.median(parent), 3),
+        }
+    return out
+
+
+def _machine() -> dict:
+    cpuinfo = Path("/proc/cpuinfo")
+    models = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+              if line.startswith("model name")] if cpuinfo.exists() else []
+    return {"cpu": models[0] if models else platform.machine(), "vcpus": os.cpu_count(),
+            "os": f"{platform.system()} {platform.machine()}", "python": platform.python_version()}
+
+
+def _commit(checkout: Path) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunError(f"{checkout}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    try:
+        return parse_run(proc.stdout)
+    except RunError as err:
+        raise RunError(f"{checkout}, seed {seed}: {err}") from None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", choices=METRICS)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    pairs = []
+    try:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            runs = {side: _run(checkouts[side], args.workload, seed, seconds) for side in order}
+            pairs.append({"workload": args.workload, "seed": seed, "first": order[0], **runs})
+            print(json.dumps(pairs[-1]), file=sys.stderr, flush=True)
+        summary = summarise(pairs)
+    except RunError as err:
+        print(f"bench_pairs: {err}; nothing written", file=sys.stderr)
+        return 1
+    series = (f"{args.pairs} alternating pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+              f"--seconds {seconds} --trace 0")
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench["machine"] = _machine()
+    bench["commits"] = {side: _commit(path) for side, path in checkouts.items()}
+    if args.claim:
+        bench["claim"] = {"workload": args.workload, "metric": args.claim, "series": series, **summary}
+    else:
+        bench.setdefault("no_regression", {})[args.workload] = {"series": series, **summary}
+    bench.setdefault("pairs", []).extend(pairs)
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
