@@ -397,7 +397,8 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
 
     monkeypatch.setattr(closure, "_realizable", recorder)
     kills = {}
-    cases = [(alg(3), 600), (alg(4), 300), (alg(5), 60), (alg(4, (1, 2)), 300), (alg(4, (2, 2)), 300), (alg(4, (1, 3)), 300)]
+    cases = [(alg(3), 600), (alg(4), 300), (alg(5), 60)]
+    cases += [(alg(4, rel), 300) for rel in ((1, 2), (2, 2), (1, 3))]
     for A, count in cases:
         indecs = indecomposables(A)
         reps = [to_matrep(A, u) for u in indecs]
@@ -418,7 +419,7 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
             for w in gap - reach:
                 assert not _realizable(A, left, right, w), (A.kupisch, left, right, w)
             kills[A] += len(gap - reach)
-    # a rule that refutes nothing would pass the checks above
+    # with no refuted bit in the sample the soundness check compares nothing
     assert kills[alg(4)] > 0, kills
     _realizable.cache_clear()
     _kernel_sets.cache_clear()
