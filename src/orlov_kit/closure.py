@@ -83,6 +83,39 @@ generation_time(T) is the least n with [T]_{n+1} = everything (INFINITE if
 the chain stabilises short of that); the spectrum of such times over all
 multiplicity-free strong generators has min = the extension dimension and
 max = the Orlov-style upper dimension.
+
+The spectrum scan visits one member of each orbit {T, DT} of the vertex
+reversal.  Let D = Hom_k(-, k) followed by renaming vertex i as n + 1 - i.
+It sends window [a, b] to [n + 1 - b, n + 1 - a]; when that permutes A's
+indecomposables (`_dual_table` is not None: hereditary lines and relations
+the reversal fixes), D is an exact contravariant involution of mod A.
+
+1. D turns 0 -> U -> E -> V -> 0 into 0 -> DV -> DE -> DU -> 0, and D is
+   a bijection on short exact sequences, so star(L, R) = D star(DR, DL).
+2. Star is associative up to summands: writing X*Y for the middles of
+   extensions of add Y by add X and smd for summands,
+   smd(smd(X*Y)*Z) = smd(X*Y*Z) = smd(X*smd(Y*Z)).  If W + W' lies in
+   X*Y and 0 -> W -> F -> Z -> 0 is exact, so is
+   0 -> W + W' -> F + W' -> Z -> 0, and F is a summand of F + W'.
+   Dually, 0 -> X -> F -> W -> 0 with W + W' in Y*Z gives
+   0 -> X -> F + W' -> W + W' -> 0.  The tests `test_star_associative_*`
+   check this on the engine.
+3. So [T]_k = smd(T*...*T) (k factors) in either bracketing, and by
+   induction D[T]_k = D star([T]_1, [T]_{k-1}) = star(D[T]_{k-1}, D[T]_1)
+   = star([DT]_{k-1}, [DT]_1) = [DT]_k.  D fixes the full set, hence
+   gt(DT) = gt(T).
+4. `_scan_masks` skips T when mask(DT) < mask(T).  Each time class is
+   closed under D, so its smallest mask m has mask(Dm) >= m and is never
+   skipped: times and witnesses are those of the full scan.  The rule
+   reads one subset at a time, so it does not depend on how the subsets
+   are cut into chunks for ``jobs``.
+
+On relation algebras the engine refutes gap bits by the capped search of
+`_realizable`, which caps quotient copies but not submodule copies, a
+shape that D does not preserve.  There the engine's answers are
+D-invariant only as far as that search is complete (ROADMAP item 5);
+`test_scan_duality_skip_is_exact` pins gt(T) = gt(DT) on every subset of
+linear4 with relation (1,3).
 """
 
 from __future__ import annotations
@@ -196,6 +229,11 @@ def _check_algebra(A: Algebra, T: IndecSet) -> None:
         raise InputError(f"indec set over {T.algebra!r} passed with {A!r}")
 
 
+def _check_linear(A: Algebra) -> None:
+    if not A.is_linear:
+        raise InputError("extension closure is implemented for linear shapes only")
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -277,8 +315,7 @@ _SEARCH_COPIES = 4
 @lru_cache(maxsize=None)
 def _pair_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
     """table[q][u] = middle-summand bits of the class in Ext^1(q, u), else 0."""
-    if not A.is_linear:
-        raise InputError("extension closure is implemented for linear shapes only")
+    _check_linear(A)
     indecs = indecomposables(A)
     index = indec_index(A)
     table: list[tuple[int, ...]] = []
@@ -365,7 +402,7 @@ def star_mask(A: Algebra, left: int, right: int) -> int:
     if gap:
         into, out = _hom_support(A)
         for k in _bits(gap):
-            if into[k] & left and out[k] & right and _realizable(A, left, right, k):
+            if into[k] & left and out[k] & right and _realizable(A, left, right, k, hull):
                 floor |= 1 << k
     return floor
 
@@ -546,12 +583,13 @@ def _kernel_sets(X, Vc) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
+def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> bool:
     """Decide one gap bit: is indec ``w_idx`` a summand of the middle of some
     0 -> U -> X -> V -> 0  with U in add(left), V in add(right) and
-    dim X <= STAR_SEARCH_DIM?
+    dim X <= STAR_SEARCH_DIM?  ``hull`` is ``_star_hull(A, left, right)[1]``,
+    which the caller already holds.
 
-    Candidate middles are the gap window plus shape-legal pieces; quotient
+    Candidate middles are the gap window plus pieces from the hull; quotient
     candidates are multisets of right windows dominated by the middle's
     dimension vector whose complement is assemblable from left windows.  Each
     surviving pair goes to the F2 surjection search.  Four exact rules keep
@@ -578,14 +616,13 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int) -> bool:
     indecs = indecomposables(A)
     w = indecs[w_idx]
     w_win = (w.top_vertex, w.top_vertex + w.length - 1)
-    piece_bits = _star_hull(A, left, right)[1]
-    if not piece_bits >> w_idx & 1:
+    if not hull >> w_idx & 1:
         return False
 
     def windows(mask: int):
         return sorted((u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(mask)))
 
-    pieces = windows(piece_bits)
+    pieces = windows(hull)
     left_wins = windows(left)
     left_mask = sum(_window_bit(a, b) for a, b in left_wins)  # distinct windows
     left_at: dict[int, list[int]] = {}  # packed left windows by top field
@@ -699,12 +736,31 @@ def _forced_vertices(A: Algebra) -> list[int]:
     return [i for i in range(1, A.n + 1) if A.c(i) == 1 or injective(A, i).length == 1]
 
 
+@lru_cache(maxsize=None)
+def _dual_table(A: Algebra) -> tuple[int, ...] | None:
+    """table[k] = the bit of D(indec k), window [a, b] to [n+1-b, n+1-a];
+    None unless the reversal maps A's indecomposables to themselves."""
+    if not A.is_linear:
+        return None
+    index = indec_index(A)
+    table = []
+    for u in indecomposables(A):
+        k = index.get(Uniserial(A.n + 2 - u.top_vertex - u.length, u.length))
+        if k is None:
+            return None
+        table.append(1 << k)
+    return tuple(table)
+
+
 def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
     """Enumerate generator candidates with optional-part index in [sub_lo, sub_hi).
 
+    A candidate T is skipped when mask(DT) < mask(T): gt(DT) = gt(T), and
+    the module docstring shows the skip keeps every time and witness.
     Returns (times_seen, {time: smallest full mask achieving it}).
     """
     top_bit, soc_bit, required = _enumeration_tables(A)
+    dual = _dual_table(A)
     count = len(indecomposables(A))
     optional = [k for k in range(count) if not required >> k & 1]
     all_vertices = (1 << A.n) - 1
@@ -723,6 +779,8 @@ def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
             tops |= top_bit[k]
             socs |= soc_bit[k]
         if tops != all_vertices or socs != all_vertices:
+            continue
+        if dual is not None and _union(dual, mask) < mask:
             continue
         t = generation_time(A, IndecSet(A, mask))
         if t is INFINITE:
@@ -748,6 +806,7 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
+    _check_linear(A)
     count = A.dimension  # the number of indecomposables, none built yet
     forced = len(_forced_vertices(A))
     free = count - forced

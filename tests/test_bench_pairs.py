@@ -63,3 +63,45 @@ def test_summary_needs_two_pairs():
     pair = {"parent": bench_pairs.parse_run(_line(1.0)), "change": bench_pairs.parse_run(_line(1.0))}
     with pytest.raises(bench_pairs.RunError):
         bench_pairs.summarise([pair])
+
+
+def _traced(counts: dict, seconds: dict, correct=True) -> str:
+    """Canned stdout of a ``--workload all --trace 1`` run."""
+    metrics = {k: {"value": v, "unit": "count"} for k, v in counts.items()}
+    metrics.update({k: {"value": v, "unit": "s"} for k, v in seconds.items()})
+    combined = {"correct": correct, "attempted": 8, "failed": 0, "metrics": metrics}
+    return '{"workload": "ospec_hereditary", "correct": true}\n' + json.dumps(combined) + "\n"
+
+
+def test_traced_block_keeps_moved_lines_and_differing_counts():
+    moved = "MOVED ospec_hereditary: ospec --algebra linear5: closure.generation_time.calls = 1754, seed reference 3346"
+    stderr = {"parent": "", "change": f"progress\n{moved}\nFAIL nothing: ignored\n"}
+    counts = {
+        "parent": {"ospec_hereditary.closure.generation_time.calls": 3468, "oracle_sweep.oracle.decompose.calls": 4365,
+                   "verify_battery.homext.hom_dim.calls": 10, "ospec_relation.closure.hull.calls": 208},
+        "change": {"ospec_hereditary.closure.generation_time.calls": 1876, "oracle_sweep.oracle.decompose.calls": 4365,
+                   "verify_battery.homext.hom_dim.calls": 11},
+    }
+    seconds = {"ospec_hereditary.closure.floor.self_s": 0.1}
+    runs = {side: bench_pairs.parse_traced(_traced(counts[side], seconds), stderr[side], "all")
+            for side in bench_pairs.SIDES}
+    # only closure.* and oracle.* counts are kept; seconds never are
+    assert runs["change"]["counts"] == {
+        "ospec_hereditary.closure.generation_time.calls": 1876, "oracle_sweep.oracle.decompose.calls": 4365,
+    }
+    assert bench_pairs.traced_block("cmd", runs) == {
+        "command": "cmd",
+        "moved_lines": {"parent": [], "change": [moved]},
+        "counts_that_differ": {
+            "ospec_hereditary.closure.generation_time.calls": {"parent": 3468, "change": 1876},
+            "ospec_relation.closure.hull.calls": {"parent": 208, "change": None},
+        },
+    }
+
+
+def test_parse_traced_prefixes_one_workload_and_refuses_a_bad_run():
+    stdout = _traced({"closure.star_mask.calls": 7, "morphisms.compose.calls": 3}, {})
+    got = bench_pairs.parse_traced(stdout, "", "ospec_relation")
+    assert got == {"moved": [], "counts": {"ospec_relation.closure.star_mask.calls": 7}}
+    with pytest.raises(bench_pairs.RunError):
+        bench_pairs.parse_traced(_traced({}, {}, correct=False), "", "all")

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,11 @@ from orlov_kit import (
     bracket_n,
     build_algebra,
     fac_closure,
+    format_module,
     generation_time,
     indecomposables,
     is_strong_generator,
+    load_algebra,
     orlov_spectrum,
     projective,
     simple,
@@ -272,6 +275,62 @@ def test_star_duality():
             assert star_mask(A, left, right) == _union(to_a, dual), (A, left, right)
 
 
+def test_scan_duality_skip_is_exact(monkeypatch):
+    # _scan_masks skips T when mask(DT) < mask(T).  The table must be D
+    # exactly where the reversal maps the indecomposables to themselves,
+    # the engine's times must be D-invariant, and the scan must give the
+    # times and witnesses of the scan without the skip, on any chunking.
+    def alg(n, rel=None):
+        return build_algebra(LINEAR, n, Relation(*rel) if rel else None)
+
+    for rel in ((1, 2), (2, 2)):
+        assert closure._dual_table(alg(4, rel)) is None, rel
+    fixed = [alg(3), alg(4), alg(5), alg(4, (1, 3))]
+    for A in fixed:
+        assert list(closure._dual_table(A)) == _duality(A, _opposite(A)), A.kupisch
+
+    rng = random.Random(20261023)
+    for A in fixed[1:]:
+        dual = closure._dual_table(A)
+        size = 1 << len(indecomposables(A))
+        masks = range(size) if size <= 1 << 10 else [rng.randrange(size) for _ in range(300)]
+        for mask in masks:
+            got = generation_time(A, IndecSet(A, mask))
+            assert generation_time(A, IndecSet(A, _union(dual, mask))) == got, (A.kupisch, mask)
+
+    scanned = []
+
+    def counted(A, T):
+        scanned.append(T.mask)
+        return generation_time(A, T)
+
+    def merged(A, cuts):
+        times, witness = set(), {}
+        for lo, hi in zip(cuts, cuts[1:]):
+            part_times, part_witness = closure._scan_masks(A, lo, hi)
+            times |= part_times
+            for t, mask in part_witness.items():
+                witness[t] = min(mask, witness.get(t, mask))
+        return times, witness
+
+    monkeypatch.setattr(closure, "generation_time", counted)
+    for A in fixed[1:]:
+        total = 1 << A.dimension - len(closure._forced_vertices(A))
+        splits = ([0, total], [0, total // 3, total // 2 + 1, total])
+        with monkeypatch.context() as m:
+            m.setattr(closure, "_dual_table", lambda A: None)
+            scanned.clear()
+            want = closure._scan_masks(A, 0, total)
+            reference = list(scanned)
+        dual = closure._dual_table(A)
+        self_dual = sum(_union(dual, mask) == mask for mask in reference)
+        for cuts in splits:
+            scanned.clear()
+            assert merged(A, cuts) == want, (A.kupisch, cuts)
+            # one call per orbit {T, DT} of the candidates
+            assert len(scanned) == (len(reference) + self_dual) // 2, (A.kupisch, cuts)
+
+
 def test_star_associative_sampled(linear):
     A = linear(4)
     full = (1 << len(indecomposables(A))) - 1
@@ -371,7 +430,10 @@ def test_realizable_decisions_match_golden():
         A = build_algebra(LINEAR, 4, Relation(*rel) if rel else None)
         _realizable.cache_clear()
         _kernel_sets.cache_clear()
-        got = [[left, right, w, _realizable(A, left, right, w)] for left, right, w, _ in entry["decisions"]]
+        got = [
+            [left, right, w, _realizable(A, left, right, w, _star_hull(A, left, right)[1])]
+            for left, right, w, _ in entry["decisions"]
+        ]
         assert got == entry["decisions"], name
     _realizable.cache_clear()
     _kernel_sets.cache_clear()
@@ -391,7 +453,7 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
 
     searched = []
 
-    def recorder(A, left, right, k):
+    def recorder(A, left, right, k, hull):
         searched.append(k)
         return False
 
@@ -417,7 +479,7 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
             assert star_mask.__wrapped__(A, left, right) == floor, (A.kupisch, left, right)
             assert sorted(searched) == sorted(reach), (A.kupisch, left, right)
             for w in gap - reach:
-                assert not _realizable(A, left, right, w), (A.kupisch, left, right, w)
+                assert not _realizable(A, left, right, w, hull), (A.kupisch, left, right, w)
             kills[A] += len(gap - reach)
     # with no refuted bit in the sample the soundness check compares nothing
     assert kills[alg(4)] > 0, kills
@@ -592,7 +654,7 @@ def _recorded_searches(monkeypatch, A, rng, bits: int, per_bit: int):
         )
         quota = len(calls) + per_bit
         try:
-            _realizable(A, left, right, rng.choice(gaps))
+            _realizable(A, left, right, rng.choice(gaps), hull)
         except Enough:
             pass
         decided += 1
@@ -744,6 +806,28 @@ def test_orlov_spectrum_refuses_large_input(linear, monkeypatch):
     monkeypatch.setattr(closure, "indec_index", None)
     with pytest.raises(RefusalError, match=r"20100 indecomposables, 2 of them forced simples, leave 2\^20098"):
         orlov_spectrum(build_algebra(LINEAR, 200, None))
+
+
+def test_orlov_spectrum_refuses_cyclic_shapes_at_once():
+    # the closure needs a linear shape, so the shape is refused before the
+    # size check and before any subset is walked, forced or not
+    fixtures = Path(closure.__file__).parent / "fixtures"
+    for name in ("cyclic4_rel20.json", "cyclen_m.json"):
+        A = load_algebra(str(fixtures / name))
+        for force in (False, True):
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match="linear shapes only"):
+                orlov_spectrum(A, force=force)
+            assert time.perf_counter() - t0 < 1.0, (name, force)
+
+
+def test_orlov_spectrum_linear6_matches_golden(linear):
+    # the full n = 6 scan, 2^19 candidates, behind force; the golden file is
+    # the CLI output of `ospec --force --jobs 1` before the duality skip
+    want = json.loads((GOLDEN / "ospec_linear6.json").read_text())
+    result = orlov_spectrum(linear(6), force=True, jobs=2)
+    assert sorted(result.spectrum) == want["spectrum"] == list(range(6))
+    assert {str(t): format_module(m) for t, m in result.witnesses.items()} == want["witnesses"]
 
 
 def test_orlov_spectrum_parallel_matches_serial(linear):

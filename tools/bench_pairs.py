@@ -1,7 +1,7 @@
 """Run alternating parent/change benchmark pairs and write them to a BENCH file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --pairs N --seed S \
-        --out BENCH_<n>.json [--claim METRIC]
+        --out BENCH_<n>.json [--claim METRIC] [--traced]
 
 PARENT and CHANGE are checkouts of the two commits.  Pair i runs
 ``perfbench/run.py --workload NAME --seed S+i --seconds R --trace 0`` once
@@ -16,6 +16,12 @@ them, ties count for neither side), the ratio of the medians, and the
 file's ``claim``, otherwise the workload's entry under ``no_regression``.
 The pairs are appended to the file's ``pairs``; an existing file keeps its
 other keys, so one file collects a claim and several no-regression series.
+
+With ``--traced`` the tool then makes one ``--seed S --trace 1`` run of the
+workload per side, parent first.  NAME may be ``all`` there, with
+``--pairs 0`` for traced runs only.  The file's ``traced`` block gets the
+command, each side's ``MOVED`` lines and every ``closure.*``/``oracle.*``
+count that differs between the sides, keyed ``<workload>.<metric>``.
 
 A run that is not ``correct``, has a failed command or exits nonzero stops
 the tool before anything is written.
@@ -40,10 +46,9 @@ class RunError(Exception):
     """A benchmark run that cannot go into a BENCH file."""
 
 
-def parse_run(stdout: str) -> dict:
-    """The result line of one ``--trace 0`` run as the fields a pair keeps.
-
-    Refuses a run that is not correct or has a failed command."""
+def _result(stdout: str) -> dict:
+    """The last stdout line of a run; refuses one that is not correct or
+    has a failed command."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -51,10 +56,42 @@ def parse_run(stdout: str) -> dict:
         raise RunError("the run printed no result line") from None
     if result.get("correct") is not True or result.get("failed") != 0:
         raise RunError(f"correct={result.get('correct')!r}, failed={result.get('failed')!r}")
+    return result
+
+
+def parse_run(stdout: str) -> dict:
+    """The result line of one ``--trace 0`` run as the fields a pair keeps."""
+    result = _result(stdout)
     return {
         "attempted": result["attempted"],
         "failed": result["failed"],
         **{m: result["metrics"][m]["value"] for m in METRICS},
+    }
+
+
+def parse_traced(stdout: str, stderr: str, workload: str) -> dict:
+    """The ``MOVED`` lines and the closure/oracle counts of one ``--trace 1``
+    run, counts keyed ``<workload>.<metric>`` (``all`` prefixes them already)."""
+    prefix = "" if workload == "all" else f"{workload}."
+    counts = {}
+    for key, metric in _result(stdout)["metrics"].items():
+        key = prefix + key
+        if metric["unit"] == "count" and key.split(".", 1)[1].startswith(("closure.", "oracle.")):
+            counts[key] = metric["value"]
+    moved = [line for line in stderr.splitlines() if line.startswith("MOVED ")]
+    return {"moved": moved, "counts": counts}
+
+
+def traced_block(command: str, runs: dict) -> dict:
+    """The BENCH ``traced`` block from the parsed runs of both sides."""
+    parent, change = runs["parent"]["counts"], runs["change"]["counts"]
+    return {
+        "command": command,
+        "moved_lines": {s: runs[s]["moved"] for s in SIDES},
+        "counts_that_differ": {
+            key: {"parent": parent.get(key), "change": change.get(key)}
+            for key in sorted(parent.keys() | change.keys()) if parent.get(key) != change.get(key)
+        },
     }
 
 
@@ -97,14 +134,18 @@ def _commit(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def _argv(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    argv = [sys.executable, *_argv(workload, seed, seconds, trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RunError(f"{checkout}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
     try:
-        return parse_run(proc.stdout)
+        return parse_traced(proc.stdout, proc.stderr, workload) if trace else parse_run(proc.stdout)
     except RunError as err:
         raise RunError(f"{checkout}, seed {seed}: {err}") from None
 
@@ -118,7 +159,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", choices=METRICS)
+    parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
+    if args.workload == "all" and args.pairs:
+        parser.error("pairs take one workload; --workload all needs --traced --pairs 0")
+    if not (args.pairs or args.traced):
+        parser.error("nothing to run: --pairs 0 needs --traced")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     pairs = []
@@ -129,20 +175,25 @@ def main(argv=None) -> int:
             runs = {side: _run(checkouts[side], args.workload, seed, seconds) for side in order}
             pairs.append({"workload": args.workload, "seed": seed, "first": order[0], **runs})
             print(json.dumps(pairs[-1]), file=sys.stderr, flush=True)
-        summary = summarise(pairs)
+        summary = summarise(pairs) if pairs else None
+        if args.traced:
+            traced = {side: _run(checkouts[side], args.workload, args.seed, seconds, trace=1) for side in SIDES}
     except RunError as err:
         print(f"bench_pairs: {err}; nothing written", file=sys.stderr)
         return 1
-    series = (f"{args.pairs} alternating pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-              f"--seconds {seconds} --trace 0")
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench["machine"] = _machine()
     bench["commits"] = {side: _commit(path) for side, path in checkouts.items()}
-    if args.claim:
-        bench["claim"] = {"workload": args.workload, "metric": args.claim, "series": series, **summary}
-    else:
-        bench.setdefault("no_regression", {})[args.workload] = {"series": series, **summary}
-    bench.setdefault("pairs", []).extend(pairs)
+    if summary:
+        series = (f"{args.pairs} alternating pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+                  f"--seconds {seconds} --trace 0")
+        if args.claim:
+            bench["claim"] = {"workload": args.workload, "metric": args.claim, "series": series, **summary}
+        else:
+            bench.setdefault("no_regression", {})[args.workload] = {"series": series, **summary}
+        bench.setdefault("pairs", []).extend(pairs)
+    if args.traced:
+        bench["traced"] = traced_block(" ".join(["python3", *_argv(args.workload, args.seed, seconds, 1)]), traced)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
