@@ -47,24 +47,43 @@ produces, so star is computed exactly from two bounds and a search:
   c <= a <= d <= b.
 * gap bits (hull minus floor) that the hom-support rule leaves are decided
   one by one by an explicit witness search over F2 (`_realizable`),
-  memoised per (left, right, bit).  Four exact rules bound its work per
-  candidate:
+  memoised per (left, right, bit).  Five exact rules bound its work per
+  candidate.  Hom spaces between windows are at most one-dimensional, so a
+  map g: X -> V is a 0/1 combination of the canonical maps X_i -> V_j, one
+  bitmask C_i per summand X_i = [a_i, b_i]: the copies V_j = [c_j, d_j] it
+  maps to, a submask of allowed_i = {j : c_j <= a_i <= d_j <= b_i}.
   (a) quotient multisets grow only while their dimension vector stays under
       the middle's and their dimension below it; both conditions are
       monotone in the multiset, so pruning at a prefix loses no candidate;
-  (b) a map g: X -> V is onto iff it is onto on tops (Nakayama's lemma), a
-      rank test on the maps between windows with a common top vertex.  A
-      nonzero map [a, b] -> [c, d] needs c <= a <= d <= b, and its image
-      [a, d] holds the top of [c, d] only when a = c.  So if no window
-      [a, b] of X has a = c and d <= b, every g maps X into rad [c, d] plus
-      the other copies, no g is onto, and every multiset holding [c, d] is
-      refuted.  Such windows are dropped from the quotient alphabet before
-      (a) walks it; (a)'s conditions concern only the windows kept, so its
-      pruning stays exact;
-  (c) g acts vertex by vertex, so ker g has a basis of vectors that each
-      live at one vertex; the multiplicity of a kernel window [a, b] comes
-      from ranks of the kernels at a and a - 1 masked to the windows of X
-      that reach b and b + 1;
+  (b) g is onto iff it is onto on tops (Nakayama's lemma), a rank test on
+      the maps between windows with a common top vertex: g is onto iff the
+      C_i & top_i have rank |V| over F2, where top_i = {j in allowed_i :
+      c_j = a_i}.  A nonzero map [a, b] -> [c, d] needs c <= a <= d <= b,
+      and its image [a, d] holds the top of [c, d] only when a = c.  So if
+      no window [a, b] of X has a = c and d <= b, every g maps X into
+      rad [c, d] plus the other copies, no g is onto, and every multiset
+      holding [c, d] is refuted.  Such windows are dropped from the quotient
+      alphabet before (a) walks it; (a)'s conditions concern only the
+      windows kept, so its pruning stays exact;
+  (c) the kernel windows come from nullity increments, with no nullspace
+      vectors.  The canonical map [a_i, b_i] -> [c_j, d_j] is nonzero
+      exactly at the vertices of [a_i, d_j], so at a vertex v in X_i the
+      column of g_v at X_i is C_i & D_v, with D_v = {j : d_j >= v}.  Let
+      N_v(b) be the nullity of g_v restricted to the windows of X that
+      contain v and end before b.  For v <= b the structure map X_v -> X_b
+      kills exactly those windows and is injective on the others, so the
+      kernel of K_v -> X_b (K = ker g) is the nullspace of that restriction
+      and rank(K_v -> X_b) = N_v(inf) - N_v(b).  K is a sum of windows and
+      K_b lies in X_b, so that rank counts the windows of K with top <= v
+      and end >= b.  Inclusion-exclusion over top <= a versus top <= a - 1
+      and end >= b versus end >= b + 1 gives the multiplicity of [a, b] in
+      K; the N_v(inf) terms cancel, leaving
+      mult[a, b] = dN_a(b) - dN_{a-1}(b), with dN_v(b) = N_v(b+1) - N_v(b).
+      Eliminating the columns of the windows at v in order of end, the
+      nullity of the windows ending before b is the number of columns among
+      them that depend on earlier ones, so dN_v(b) is the number of
+      dependent columns among the windows ending at b: one incremental
+      elimination per vertex yields every dN_v;
   (d) whether a surjection g: X -> V with ker g in add(left) exists depends
       only on the multisets X and V and on the left set: the maps g are the
       same for any order of the summands, and left enters only through the
@@ -74,7 +93,18 @@ produces, so star is computed exactly from two bounds and a search:
       g iff some minimal set lies in the left set.  The minimal sets of
       (X, V) are enumerated once (`_kernel_sets`) for every left set.  X has
       at most _SEARCH_PIECES summands and V at most _SEARCH_COPIES, so the
-      enumeration runs over at most 16 canonical maps and needs no cap.
+      enumeration runs over at most 16 canonical maps and needs no cap;
+  (e) equal summands are mapped once.  If X_i = X_k, swapping them is an
+      automorphism s of X; g s is onto iff g is, and ker(g s) = s^-1 ker g
+      is isomorphic to ker g, so both have the same kernel windows.  In
+      bitmasks g s swaps C_i and C_k, and these permutations act on each
+      run of equal consecutive windows.  Compare entries by their top part
+      C_i & top_i first and their rest C_i & ~top_i second: each orbit then
+      holds exactly one C that is nonincreasing along every run, the one
+      with the run's entries sorted.  `_kernel_sets` visits only those: top
+      parts nonincreasing along each run, and rest parts nonincreasing
+      along each stretch of a run whose top parts are equal.  The set of
+      kernel window sets, and so its minimal members, is unchanged.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
 monotone and stabilises after at most #indecomposables steps.
@@ -484,101 +514,112 @@ def _quotients(right, X, x_packed: int, dim_x: int, guard: int):
         level = grown
 
 
-def _onto(X, Vc, chosen) -> bool:
-    """Whether g = sum of the chosen canonical maps X_i -> V_j is onto.
-
-    By Nakayama's lemma g is onto iff it is onto modulo radicals.  Top of X_i
-    lands in top of V_j only when both windows start at the same vertex, so
-    the test is rank |V| of that |V| x |X| matrix over F2.
-    """
-    cols = [0] * len(X)
-    for i, j in chosen:
-        if X[i][0] == Vc[j][0]:
-            cols[i] |= 1 << j
-    return _rank_f2(cols) == len(Vc)
-
-
-def _kernel_windows(X, Vc, chosen):
-    """Yield ((a, b), multiplicity) for the windows of ker g, a then b ascending.
-
-    g is a map of representations, so ker g is graded by vertex: K_v is the
-    nullspace of g at v, written over the windows X_i that contain v.  K is a
-    sum of windows, so r(a, b) = rank(K_a -> X_b) counts its windows with top
-    <= a and end >= b, and K_a -> X_b keeps exactly the windows X_i that
-    reach b.  t(b) = r(a, b) - r(a - 1, b) counts K's windows with top a and
-    end >= b, and t(b) - t(b + 1) is the multiplicity of [a, b].
-    """
-    lo = min(a for a, _ in X)
-    hi = max(b for _, b in X)
-    ker: dict[int, list[int]] = {}
-    for v in range(lo, hi + 1):
-        cols = [0] * len(X)
-        for i, j in chosen:
-            if X[i][0] <= v <= Vc[j][1]:
-                cols[i] |= 1 << j
-        basis: list[tuple[int, int]] = []
-        null: list[int] = []
-        for i, (a, b) in enumerate(X):
-            if a <= v <= b:
-                col, combo = cols[i], 1 << i
-                for b_col, b_combo in basis:
-                    if col ^ b_col < col:
-                        col ^= b_col
-                        combo ^= b_combo
-                if col:
-                    basis.append((col, combo))
-                else:
-                    null.append(combo)
-        ker[v] = null
-    reach = [0] * (hi + 2)  # reach[v]: the windows X_i that contain v
-    for i, (a, b) in enumerate(X):
-        for v in range(a, b + 1):
-            reach[v] |= 1 << i
-    for a in range(lo, hi + 1):
-        here, below = ker[a], ker.get(a - 1, ())
-        t = len(here) - _rank_f2([k & reach[a] for k in below])
-        b = a
-        while t:
-            t_next = _rank_f2([k & reach[b + 1] for k in here]) - _rank_f2([k & reach[b + 1] for k in below])
-            if t > t_next:
-                yield (a, b), t - t_next
-            t = t_next
-            b += 1
-
-
 def _window_bit(a: int, b: int) -> int:
     """The bit of window [a, b] in a kernel-set mask.  b(b+1)/2 + a is
     injective on 1 <= a <= b, whatever the number of vertices."""
     return 1 << (b * (b + 1) // 2 + a)
 
 
+def _map_plan(X, Vc):
+    """(allowed, top, vertices) for the maps g: X -> Vc written as one
+    bitmask C_i of copies per summand X_i (module docstring, rules b, c).
+
+    allowed[i] and top[i] are the copies X_i may map to and those sharing
+    its top vertex.  vertices holds, for each vertex v from the lowest top
+    of X to its highest end, D_v and the windows of X containing v grouped
+    by end, ascending, as (end, bit of the window [v, end], summands).
+    """
+    allowed, top = [], []
+    for a, b in X:
+        m = t = 0
+        for j, (c, d) in enumerate(Vc):
+            if c <= a <= d <= b:
+                m |= 1 << j
+                if c == a:
+                    t |= 1 << j
+        allowed.append(m)
+        top.append(t)
+    vertices = []
+    for v in range(min(a for a, _ in X), max(b for _, b in X) + 1):
+        d_v = 0
+        for j, (_, d) in enumerate(Vc):
+            if d >= v:
+                d_v |= 1 << j
+        by_end: dict[int, list[int]] = {}
+        for i, (a, b) in enumerate(X):
+            if a <= v <= b:
+                by_end.setdefault(b, []).append(i)
+        vertices.append((d_v, tuple((e, _window_bit(v, e), tuple(by_end[e])) for e in sorted(by_end))))
+    return tuple(allowed), tuple(top), tuple(vertices)
+
+
+def _kernel_mask(vertices, C) -> int:
+    """The ``_window_bit``s of the windows of ker g, for g given by C
+    (rule c): [v, b] is a window iff dN_v(b) > dN_{v-1}(b)."""
+    mask = 0
+    below: dict[int, int] = {}  # dN_{v-1}
+    for d_v, groups in vertices:
+        basis: list[int] = []
+        here: dict[int, int] = {}
+        for end, bit, summands in groups:
+            dependent = 0
+            for i in summands:
+                col = C[i] & d_v
+                for e in basis:
+                    if col ^ e < col:
+                        col ^= e
+                if col:
+                    basis.append(col)
+                else:
+                    dependent += 1
+            if dependent:
+                here[end] = dependent
+                if dependent > below.get(end, 0):
+                    mask |= bit
+        below = here
+    return mask
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of mask, largest first."""
+    out = [mask]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        out.append(sub)
+    return out
+
+
+def _run_choices(masks, keys):
+    """Tuples whose entry i is a submask of masks[i], nonincreasing along
+    each run of equal consecutive keys; masks is constant on every run."""
+    parts = []
+    start = 0
+    for _, run in itertools.groupby(keys):
+        length = len(list(run))
+        parts.append(itertools.combinations_with_replacement(_submasks(masks[start]), length))
+        start += length
+    for choice in itertools.product(*parts):
+        yield tuple(itertools.chain.from_iterable(choice))
+
+
 @lru_cache(maxsize=None)
 def _kernel_sets(X, Vc) -> tuple[int, ...]:
     """The inclusion-minimal window sets of ker g over all surjections
-    g: X -> Vc, as masks of ``_window_bit``s (rule d).  X comes sorted.
+    g: X -> Vc, as masks of ``_window_bit``s (rule d).
 
-    Hom spaces between windows are at most one-dimensional, so every g is a
-    0/1 combination of the canonical overlap maps X_i -> V_j.  Only the maps
-    between windows with a common top decide surjectivity (``_onto``), so
-    those are chosen first and the rest only for a choice that is onto.
+    The top parts of C decide surjectivity (rule b), so they are chosen
+    first and the rest only for a choice that is onto; both are taken once
+    per orbit of the permutations of equal summands (rule e).
     """
-    tops: list[tuple[int, int]] = []  # pairs (i, j) with a nonzero map X_i -> V_j
-    rest: list[tuple[int, int]] = []
-    for i, (a, b) in enumerate(X):
-        for j, (c, d) in enumerate(Vc):
-            if c <= a <= d <= b:
-                (tops if a == c else rest).append((i, j))
+    allowed, top, vertices = _map_plan(X, Vc)
+    rest = tuple(m & ~t for m, t in zip(allowed, top))
     found: set[int] = set()
-    for size in range(1, len(tops) + 1):
-        for top_choice in itertools.combinations(tops, size):
-            if not _onto(X, Vc, top_choice):
-                continue
-            for r in range(len(rest) + 1):
-                for rest_choice in itertools.combinations(rest, r):
-                    mask = 0
-                    for (a, b), _ in _kernel_windows(X, Vc, top_choice + rest_choice):
-                        mask |= _window_bit(a, b)
-                    found.add(mask)
+    for tops in _run_choices(top, X):
+        if _rank_f2(tops) != len(Vc):
+            continue
+        for rests in _run_choices(rest, zip(X, tops)):
+            found.add(_kernel_mask(vertices, [t | r for t, r in zip(tops, rests)]))
     return tuple(sorted(k for k in found if not any(m != k and m & ~k == 0 for m in found)))
 
 
@@ -592,25 +633,29 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
     Candidate middles are the gap window plus pieces from the hull; quotient
     candidates are multisets of right windows dominated by the middle's
     dimension vector whose complement is assemblable from left windows.  Each
-    surviving pair goes to the F2 surjection search.  Four exact rules keep
-    the work per candidate small:
+    surviving pair goes to the F2 surjection search.  Five exact rules keep
+    the work per candidate small (proofs in the module docstring):
 
     (a) ``_quotients`` extends a multiset only while it fits under X: adding
         a window never shrinks a dimension vector or a dimension, so a prefix
         that does not fit has no extension that fits.
-    (b) ``_onto`` decides surjectivity on tops before any kernel is built:
+    (b) surjectivity is decided on tops before any kernel is built:
         g(X) + rad V = V forces g(X) = V (Nakayama's lemma).  A nonzero map
         [a, b] -> [c, d] needs c <= a <= d <= b, and its image [a, d] holds
         the top of [c, d] only if a = c.  So ``_quotients`` first drops every
         right window [c, d] with no window [a, b] of X such that a = c and
         d <= b: no g is onto a multiset holding it.  (a) prunes the windows
         kept by conditions on them alone, so it stays exact.
-    (c) ``_kernel_windows`` reads kernel multiplicities vertex by vertex: a
-        map of representations acts vertex by vertex, so its kernel vectors
-        are homogeneous in the vertex.
+    (c) ``_kernel_mask`` reads the kernel windows of a map from one
+        incremental elimination per vertex, taking the windows of X in order
+        of end: [a, b] is a kernel window iff more columns of windows ending
+        at b are dependent at a than at a - 1.
     (d) the answer comes from the minimal kernel window sets of (X, V),
         enumerated once per sorted X and V whatever the left set
         (``_kernel_sets``): some g has ker g in add(left) iff some minimal
+        set lies in the left set.
+    (e) ``_kernel_sets`` maps equal summands of X once: permuting them
+        changes g but not its kernel, so it visits one map per orbit.
         set lies in the left set.
     """
     indecs = indecomposables(A)
@@ -791,6 +836,12 @@ def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
     return times, witness
 
 
+#: Chunks of the subset range per started worker of a parallel scan.  On
+#: linear6 halves by index leave 55,416 and 43,250 candidates; a lowest-bit
+#: stride would leave 11,484 and 87,182.
+_CHUNKS_PER_WORKER = 8
+
+
 def _scan_chunk(args):
     A, lo, hi = args
     return _scan_masks(A, lo, hi)
@@ -801,8 +852,10 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
 
     Witnesses are deterministic (smallest bitmask per time), also across
     parallel runs: chunk minima merge to the global minimum.  The pool forks
-    all its workers at the first submit, so it gets at most jobs or CPUs,
-    and the subsets are cut into one chunk per worker it starts.
+    all its workers at the first submit, so it gets at most jobs or CPUs.
+    The subsets are cut into _CHUNKS_PER_WORKER contiguous chunks per worker
+    it starts, handed out as workers free up: the reversal skip and the
+    prunes leave uneven work along the index range.
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
@@ -820,11 +873,11 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     if workers == 1:
         times, witness = _scan_masks(A, 0, total)
     else:
-        chunk = -(-total // workers)
+        chunk = -(-total // (workers * _CHUNKS_PER_WORKER))
         bounds = [(A, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         times = set()
         witness = {}
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             for part_times, part_witness in pool.map(_scan_chunk, bounds):
                 times |= part_times
                 for t, mask in part_witness.items():

@@ -82,10 +82,14 @@ def test_traced_block_keeps_moved_lines_and_differing_counts():
         "change": {"ospec_hereditary.closure.generation_time.calls": 1876, "oracle_sweep.oracle.decompose.calls": 4365,
                    "verify_battery.homext.hom_dim.calls": 11},
     }
-    seconds = {"ospec_hereditary.closure.floor.self_s": 0.1}
-    runs = {side: bench_pairs.parse_traced(_traced(counts[side], seconds), stderr[side], "all")
+    seconds = {
+        "parent": {"ospec_relation.closure.realizable.self_s": 1.05, "oracle_sweep.oracle.decompose.self_s": 0.4,
+                   "verify_battery.homext.hom_dim.self_s": 0.2},
+        "change": {"ospec_relation.closure.realizable.self_s": 0.64, "oracle_sweep.oracle.decompose.self_s": 0.4},
+    }
+    runs = {side: bench_pairs.parse_traced(_traced(counts[side], seconds[side]), stderr[side], "all")
             for side in bench_pairs.SIDES}
-    # only closure.* and oracle.* counts are kept; seconds never are
+    # only closure.* and oracle.* metrics are kept, counts and seconds apart
     assert runs["change"]["counts"] == {
         "ospec_hereditary.closure.generation_time.calls": 1876, "oracle_sweep.oracle.decompose.calls": 4365,
     }
@@ -96,12 +100,19 @@ def test_traced_block_keeps_moved_lines_and_differing_counts():
             "ospec_hereditary.closure.generation_time.calls": {"parent": 3468, "change": 1876},
             "ospec_relation.closure.hull.calls": {"parent": 208, "change": None},
         },
+        # every layer's seconds on each side, equal or not
+        "seconds": {
+            "parent": {"ospec_relation.closure.realizable.self_s": 1.05, "oracle_sweep.oracle.decompose.self_s": 0.4},
+            "change": {"ospec_relation.closure.realizable.self_s": 0.64, "oracle_sweep.oracle.decompose.self_s": 0.4},
+        },
     }
 
 
 def test_parse_traced_prefixes_one_workload_and_refuses_a_bad_run():
-    stdout = _traced({"closure.star_mask.calls": 7, "morphisms.compose.calls": 3}, {})
+    stdout = _traced({"closure.star_mask.calls": 7, "morphisms.compose.calls": 3},
+                     {"closure.star_mask.self_s": 0.25, "morphisms.compose.self_s": 0.5})
     got = bench_pairs.parse_traced(stdout, "", "ospec_relation")
-    assert got == {"moved": [], "counts": {"ospec_relation.closure.star_mask.calls": 7}}
+    assert got == {"moved": [], "counts": {"ospec_relation.closure.star_mask.calls": 7},
+                   "seconds": {"ospec_relation.closure.star_mask.self_s": 0.25}}
     with pytest.raises(bench_pairs.RunError):
         bench_pairs.parse_traced(_traced({}, {}, correct=False), "", "all")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -42,9 +43,9 @@ from orlov_kit.closure import (
     _bits,
     _fac_mask,
     _floor_mask,
+    _kernel_mask,
     _kernel_sets,
-    _kernel_windows,
-    _onto,
+    _map_plan,
     _packed,
     _quotients,
     _rank_f2,
@@ -553,10 +554,27 @@ def _reference_onto_and_kernel(n, X, Vc, chosen):
     return onto, mults
 
 
+_plan = functools.lru_cache(maxsize=None)(_map_plan)
+
+
+def _map_masks(X, Vc, chosen):
+    """g = sum of the chosen canonical maps X_i -> V_j as the closure's
+    per-map rules see it: (C, onto by rule b, vertices for rule c)."""
+    _, top, vertices = _plan(tuple(X), tuple(Vc))
+    C = [0] * len(X)
+    for i, j in chosen:
+        C[i] |= 1 << j
+    return C, _rank_f2([c & t for c, t in zip(C, top)]) == len(Vc), vertices
+
+
+def _hom_pairs(X, Vc) -> list[tuple[int, int]]:
+    return [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
+
+
 def test_search_rules_match_full_matrix_reference():
     # Rule (b): surjectivity from the rank on tops equals full rank.
-    # Rule (c): per-vertex kernel multiplicities equal the all-path-rank
-    # inclusion-exclusion, for every map, onto or not.
+    # Rule (c): the kernel windows from nullity increments equal those of
+    # the all-path-rank inclusion-exclusion, for every map, onto or not.
     rng = random.Random(20261018)
     algebras = [A for n in range(2, 6) for A in all_linear_algebras(n)]
     onto_seen = 0
@@ -567,11 +585,11 @@ def test_search_rules_match_full_matrix_reference():
         # quotient windows mostly start at a top of X, so that onto maps occur
         tops = [w for w in wins if any(w[0] == a for a, _ in X)]
         Vc = tuple(sorted(rng.choice(tops if rng.random() < 0.8 else wins) for _ in range(rng.randint(1, 4))))
-        pairs = [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
-        chosen = tuple(p for p in pairs if rng.random() < 0.6)
+        chosen = tuple(p for p in _hom_pairs(X, Vc) if rng.random() < 0.6)
         onto, mults = _reference_onto_and_kernel(A.n, X, Vc, chosen)
-        assert _onto(X, Vc, chosen) == onto, (A.kupisch, X, Vc, chosen)
-        assert dict(_kernel_windows(X, Vc, chosen)) == mults, (A.kupisch, X, Vc, chosen)
+        C, got_onto, vertices = _map_masks(X, Vc, chosen)
+        assert got_onto == onto, (A.kupisch, X, Vc, chosen)
+        assert _kernel_mask(vertices, C) == _window_mask(mults), (A.kupisch, X, Vc, chosen)
         onto_seen += onto
     assert onto_seen >= 200
 
@@ -579,42 +597,43 @@ def test_search_rules_match_full_matrix_reference():
 def _reference_g_search(X, Vc, left_set) -> bool:
     """The former early-exit surjection search, kept as the reference: it
     stops at the first onto g whose kernel windows all lie in left_set."""
-    hom_pairs = [
-        (i, j)
-        for i, (a, b) in enumerate(X)
-        for j, (c, d) in enumerate(Vc)
-        if c <= a <= d <= b
-    ]
+    hom_pairs = _hom_pairs(X, Vc)
     if not hom_pairs:
         return False
     tops = [(i, j) for i, j in hom_pairs if X[i][0] == Vc[j][0]]
     rest = [(i, j) for i, j in hom_pairs if X[i][0] != Vc[j][0]]
     if len({j for _, j in tops}) < len(Vc):
         return False
+    left_mask = _window_mask(left_set)
     for size in range(1, len(tops) + 1):
         for top_choice in itertools.combinations(tops, size):
-            if not _onto(X, Vc, top_choice):
+            if not _map_masks(X, Vc, top_choice)[1]:
                 continue
             for r in range(len(rest) + 1):
                 for rest_choice in itertools.combinations(rest, r):
-                    kernel = _kernel_windows(X, Vc, top_choice + rest_choice)
-                    if all(win in left_set for win, _ in kernel):
+                    C, _, vertices = _map_masks(X, Vc, top_choice + rest_choice)
+                    if _kernel_mask(vertices, C) & ~left_mask == 0:
                         return True
     return False
 
 
 def _reference_minimal_kernels(X, Vc) -> set[frozenset]:
     """Minimal kernel window sets of the onto g: X -> Vc, as plain sets."""
-    pairs = [(i, j) for i, (a, b) in enumerate(X) for j, (c, d) in enumerate(Vc) if c <= a <= d <= b]
+    hi = max(b for _, b in X)
+    pairs = _hom_pairs(X, Vc)
     kernels = set()
     for r in range(len(pairs) + 1):
         for chosen in itertools.combinations(pairs, r):
-            if _onto(X, Vc, chosen):
-                kernels.add(frozenset(win for win, _ in _kernel_windows(X, Vc, chosen)))
+            C, onto, vertices = _map_masks(X, Vc, chosen)
+            if onto:
+                kernel = _kernel_mask(vertices, C)
+                kernels.add(frozenset(
+                    (a, b) for a in range(1, hi + 1) for b in range(a, hi + 1) if kernel & _window_bit(a, b)
+                ))
     return {k for k in kernels if not any(m < k for m in kernels)}
 
 
-def _window_mask(windows: frozenset) -> int:
+def _window_mask(windows) -> int:
     return sum(_window_bit(a, b) for a, b in windows)
 
 
@@ -690,6 +709,47 @@ def test_kernel_sets_match_early_exit_reference(monkeypatch):
                     assert _answer(Xs, Vs, _window_mask(ls)) == want, (A.kupisch, Xs, Vc, left, shift)
                     seen[want] += 1
     assert seen[True] >= 200 and seen[False] >= 200, seen
+    _kernel_sets.cache_clear()
+
+
+def test_kernel_sets_match_reference():
+    # Rules (c) and (e): _kernel_sets equals the minimal kernel window sets
+    # of every onto map, each built by the full-matrix reference, which
+    # shares no code with the nullity increments or the orbit rule.  X and V
+    # are drawn from one or two windows each, so runs of equal windows occur
+    # and the orbit rule prunes; shifted draws check the window bits past
+    # vertex 16.  The reference enumerates every map, so draws with more
+    # than 10 canonical maps are skipped.
+    rng = random.Random(20261023)
+    algebras = [A for n in range(2, 6) for A in all_linear_algebras(n)]
+    checked = x_runs = v_runs = shifted = 0
+    while checked < 300:
+        A = rng.choice(algebras)
+        wins = [(u.top_vertex, u.top_vertex + u.length - 1) for u in indecomposables(A)]
+        X = tuple(sorted(rng.choices(rng.sample(wins, min(2, len(wins))), k=rng.randint(1, 4))))
+        tops = [w for w in wins if any(w[0] == a for a, _ in X)]
+        Vc = tuple(sorted(rng.choices(rng.sample(tops, min(2, len(tops))), k=rng.randint(1, 3))))
+        pairs = _hom_pairs(X, Vc)
+        if len(pairs) > 10:
+            continue
+        kernels = set()
+        for r in range(len(pairs) + 1):
+            for chosen in itertools.combinations(pairs, r):
+                onto, mults = _reference_onto_and_kernel(A.n, X, Vc, chosen)
+                if onto:
+                    kernels.add(frozenset(mults))
+        minimal = [k for k in kernels if not any(m < k for m in kernels)]
+        shift = rng.choice((0, 13, 16))
+        Xs = tuple((a + shift, b + shift) for a, b in X)
+        Vs = tuple((c + shift, d + shift) for c, d in Vc)
+        want = tuple(sorted(_window_mask((a + shift, b + shift) for a, b in k) for k in minimal))
+        assert _kernel_sets(Xs, Vs) == want, (A.kupisch, X, Vc, shift)
+        checked += 1
+        if minimal:
+            x_runs += len(set(X)) < len(X)
+            v_runs += len(set(Vc)) < len(Vc)
+            shifted += shift > 0
+    assert x_runs >= 60 and v_runs >= 20 and shifted >= 40, (x_runs, v_runs, shifted)
     _kernel_sets.cache_clear()
 
 
@@ -883,14 +943,15 @@ def test_orlov_spectrum_pool_size_is_capped(linear, monkeypatch):
 
 def test_orlov_spectrum_chunks_follow_started_workers(linear, monkeypatch):
     # --jobs above the CPU count starts only cpu_count workers, so it must
-    # not cut the 2^13 subsets of linear5 into 4096 chunks either.
+    # not cut the 2^13 subsets of linear5 into 4096 chunks either: 8 chunks
+    # per started worker, handed out by the pool.
     A = linear(5)
     serial = orlov_spectrum(A, jobs=1)
     monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _InlinePool.workers, _InlinePool.chunks = [], []
     result = orlov_spectrum(A, jobs=4096)
-    assert _InlinePool.workers == [2] and _InlinePool.chunks == [2]
+    assert _InlinePool.workers == [2] and _InlinePool.chunks == [16]
     assert result.spectrum == serial.spectrum and result.witnesses == serial.witnesses
 
 

@@ -20,8 +20,10 @@ other keys, so one file collects a claim and several no-regression series.
 With ``--traced`` the tool then makes one ``--seed S --trace 1`` run of the
 workload per side, parent first.  NAME may be ``all`` there, with
 ``--pairs 0`` for traced runs only.  The file's ``traced`` block gets the
-command, each side's ``MOVED`` lines and every ``closure.*``/``oracle.*``
-count that differs between the sides, keyed ``<workload>.<metric>``.
+command, each side's ``MOVED`` lines, every ``closure.*``/``oracle.*``
+count that differs between the sides, and under ``seconds`` each side's
+``closure.*``/``oracle.*`` per-layer seconds (unit ``s``), all keyed
+``<workload>.<metric>``.
 
 A run that is not ``correct``, has a failed command or exits nonzero stops
 the tool before anything is written.
@@ -70,16 +72,17 @@ def parse_run(stdout: str) -> dict:
 
 
 def parse_traced(stdout: str, stderr: str, workload: str) -> dict:
-    """The ``MOVED`` lines and the closure/oracle counts of one ``--trace 1``
-    run, counts keyed ``<workload>.<metric>`` (``all`` prefixes them already)."""
+    """The ``MOVED`` lines and the closure/oracle counts and seconds of one
+    ``--trace 1`` run, keyed ``<workload>.<metric>`` (``all`` prefixes them
+    already)."""
     prefix = "" if workload == "all" else f"{workload}."
-    counts = {}
+    kept = {"count": {}, "s": {}}
     for key, metric in _result(stdout)["metrics"].items():
         key = prefix + key
-        if metric["unit"] == "count" and key.split(".", 1)[1].startswith(("closure.", "oracle.")):
-            counts[key] = metric["value"]
+        if metric["unit"] in kept and key.split(".", 1)[1].startswith(("closure.", "oracle.")):
+            kept[metric["unit"]][key] = metric["value"]
     moved = [line for line in stderr.splitlines() if line.startswith("MOVED ")]
-    return {"moved": moved, "counts": counts}
+    return {"moved": moved, "counts": kept["count"], "seconds": kept["s"]}
 
 
 def traced_block(command: str, runs: dict) -> dict:
@@ -92,6 +95,7 @@ def traced_block(command: str, runs: dict) -> dict:
             key: {"parent": parent.get(key), "change": change.get(key)}
             for key in sorted(parent.keys() | change.keys()) if parent.get(key) != change.get(key)
         },
+        "seconds": {s: runs[s]["seconds"] for s in SIDES},
     }
 
 
