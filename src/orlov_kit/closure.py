@@ -836,9 +836,10 @@ def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
     return times, witness
 
 
-#: Chunks of the subset range per started worker of a parallel scan.  On
-#: linear6 halves by index leave 55,416 and 43,250 candidates; a lowest-bit
-#: stride would leave 11,484 and 87,182.
+#: Contiguous chunks of the subset range per started worker of a parallel
+#: scan.  Work is uneven along the range (on linear6 the lower half by index
+#: leaves 55,416 candidates and the upper 43,250, which take 6.1 and 9.2 s
+#: on one core), so the pool hands out more chunks than it has workers.
 _CHUNKS_PER_WORKER = 8
 
 
@@ -854,8 +855,7 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
     parallel runs: chunk minima merge to the global minimum.  The pool forks
     all its workers at the first submit, so it gets at most jobs or CPUs.
     The subsets are cut into _CHUNKS_PER_WORKER contiguous chunks per worker
-    it starts, handed out as workers free up: the reversal skip and the
-    prunes leave uneven work along the index range.
+    it starts, handed out as workers free up.
     """
     if not _is_int(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
