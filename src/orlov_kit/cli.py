@@ -303,7 +303,7 @@ def _cmd_arquiver(args) -> int:
 
 def _cmd_oracle(args) -> int:
     A = load_algebra(args.algebra)
-    report = oracle_report(A, cap=args.cap)
+    report = oracle_report(A, cap=args.cap, max_support=args.max_support)
     _emit(report)
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
@@ -505,6 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
     p = with_algebra(oracle_sub.add_parser("verify", help="run the oracle self-check report"))
     p.add_argument("--cap", type=int, default=12, help="total dimension bound")
+    p.add_argument("--max-support", type=int, default=2,
+                   help="most distinct summands of a star-sweep end")
 
     p = sub.add_parser("verify", help="replay the bundled reference-value table")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized rows")

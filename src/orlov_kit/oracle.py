@@ -33,9 +33,21 @@ restriction to the touched sub-pair (V', U'), a class that touches every
 summand of both ends.  ``middle_terms`` therefore decomposes only such
 touching classes, once per fully coupled pair (V', U') in the cached
 ``_touching_middles``.  A sub-multiset of a sweep multiset is a sweep
-multiset, so one ``verify_star_sweep`` decomposes each coupled pair once;
-at cap 10 the cache holds 139, 24 and 861 entries on ``linear3``,
-``linear3_ab`` and ``linear4``.
+multiset, so one ``verify_star_sweep`` decomposes each coupled pair once.
+
+Union rule.  The summands of all middles of (V, U) are supp V, supp U and
+the summands of the touching middles of every coupled sub-pair (V', U').
+By the split-off rule the middles are U + V and the (V - V') + (U - U') +
+M with M a touching middle of (V', U'); U + V gives supp V and supp U, and
+the summands of (V - V') + (U - U') are among them, so only the M add
+more.  ``middle_summand_union`` therefore works in the index space of
+``indecomposables``: each end's ``_end_plan`` holds its support mask and
+its sub-multisets under int keys, ``_ext_rows`` says which pairs of
+indecomposables have ext, and ``_touching_masks`` keeps one summand mask
+per coupled sub-pair, keyed by the pair's two int keys.  No middle is
+built as a ``ModuleSum`` there.  At cap 10 one sweep leaves 139, 24 and
+861 entries each in ``_touching_middles`` and ``_touching_masks`` on
+``linear3``, ``linear3_ab`` and ``linear4``.
 
 Matrices live as tuples of int bitmasks, one row per SOURCE basis vector,
 bit j = coefficient on target basis j; mat_mul therefore composes maps in
@@ -51,6 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .closure import IndecSet, star
 from .nakayama import (
@@ -61,6 +74,7 @@ from .nakayama import (
     Uniserial,
     _as_sum,
     _is_int,
+    indec_index,
     indecomposables,
     validate_module,
 )
@@ -566,20 +580,104 @@ def _orbit(bits: int, swaps) -> set[int]:
 
 
 @lru_cache(maxsize=None)
-def _splits(M: ModuleSum):
-    """(runs, subs) of a sorted multiset: its (summand, multiplicity) runs,
-    and (mask, M', rest) for every nonempty sub-multiset M', where bit a of
-    ``mask`` marks run a as taken and ``rest`` holds the summands left out.
-    One entry per end module, so a sweep holds one per multiset it draws."""
+def _ext_rows(A: Algebra) -> tuple[int, ...]:
+    """Row i has bit j set iff Ext^1(indecomposables[i], indecomposables[j])
+    is nonzero, as ``_pair_ext_generators`` finds it from cocycles."""
+    indecs = indecomposables(A)
+    return tuple(sum(1 << j for j, u in enumerate(indecs) if _pair_ext_generators(A, v, u))
+                 for v in indecs)
+
+
+def _summand_mask(A: Algebra, summands) -> int:
+    """The ``indecomposables(A)`` mask of the given summands."""
+    index = indec_index(A)
+    mask = 0
+    for u in summands:
+        mask |= 1 << index[u]
+    return mask
+
+
+class _EndPlan(NamedTuple):
+    """One end module of an extension, in ``indecomposables`` index space."""
+
+    support: int  # bit i: indecomposables[i] is a summand
+    # the nonempty sub-multisets M' grouped by their support S, one group
+    # (S, ext rows of S's members, the OR of those rows, subs) per S; each
+    # sub is (key, M', rest), with ``rest`` the summands M' leaves out and
+    # the key M''s packed count vector
+    groups: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=None)
+def _end_plan(A: Algebra, M: ModuleSum) -> _EndPlan:
+    """The plan of a validated end; a sweep holds one per multiset it draws.
+
+    The key packs the count c_i of every indecomposable i in unary, lowest
+    index first: c_i ones, then a zero.  For the sorted indices s_0 <= s_1
+    <= ... of the summands that puts the t-th one at bit s_t + t, and the
+    positions give back the s_t, so equal keys mean equal sub-multisets.
+    """
+    index = indec_index(A)
+    ext = _ext_rows(A)
     runs = tuple(Counter(M.summands).items())
-    subs = []
+    groups: dict[int, list] = {}
     for counts in product(*(range(m + 1) for _, m in runs)):
         if any(counts):
-            mask = sum(1 << a for a, c in enumerate(counts) if c)
             taken = tuple(u for (u, _), c in zip(runs, counts) for _ in range(c))
             rest = tuple(u for (u, m), c in zip(runs, counts) for _ in range(m - c))
-            subs.append((mask, ModuleSum(taken), rest))
-    return runs, tuple(subs)
+            key = sum(1 << (index[u] + t) for t, u in enumerate(taken))
+            support = _summand_mask(A, (u for (u, _), c in zip(runs, counts) if c))
+            groups.setdefault(support, []).append((key, ModuleSum(taken), rest))
+    plan = []
+    for support, subs in groups.items():
+        rows = tuple(ext[i] for i in range(support.bit_length()) if support >> i & 1)
+        hit = 0
+        for row in rows:
+            hit |= row
+        plan.append((support, rows, hit, tuple(subs)))
+    return _EndPlan(_summand_mask(A, M.summands), tuple(plan))
+
+
+def _checked_ends(A: Algebra, V, U, cap) -> tuple[ModuleSum, ModuleSum, _EndPlan, _EndPlan]:
+    """(V, U) as modules and their plans, after the checks that
+    ``middle_terms`` documents: each end is validated on every call, and
+    before the cap refusal."""
+    if not A.is_linear:
+        raise InputError("middle terms are enumerated for linear shapes only")
+    if not _is_int(cap):
+        raise InputError(f"cap must be an integer, got {cap!r}")
+    V, U = _as_sum(V), _as_sum(U)
+    for end in (V, U):
+        if not isinstance(end, ModuleSum):
+            raise InputError(f"an extension end must be a ModuleSum or a Uniserial, got {end!r}")
+    validate_module(A, V)  # each end once, and before the cap refusal
+    validate_module(A, U)
+    # refuse before planning: a plan lists every sub-multiset of its end
+    if V.dim + U.dim > cap:
+        raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")
+    return V, U, _end_plan(A, V), _end_plan(A, U)
+
+
+def _coupled_sub_pairs(pv: _EndPlan, pu: _EndPlan):
+    """The ``subs`` entries (of V', of U') of every coupled sub-pair: V' <= V
+    and U' <= U nonempty, and every summand of each with an ext partner in
+    the other.  Coupling depends on the supports alone."""
+    for _, rows, hit, v_subs in pv.groups:
+        for u_support, _, _, u_subs in pu.groups:
+            # each member of the U side's support has a partner on the V side, and vice versa
+            if u_support & ~hit or not all(row & u_support for row in rows):
+                continue
+            for v_sub in v_subs:
+                for u_sub in u_subs:
+                    yield v_sub, u_sub
+
+
+@lru_cache(maxsize=None)
+def _touching_masks(A: Algebra) -> dict[tuple[int, int], int]:
+    """The summands of the touching middles of each coupled sub-pair met so
+    far, as an ``indecomposables`` mask keyed by the sub-pair's two packed
+    count vectors.  Filled from ``_touching_middles``."""
+    return {}
 
 
 @lru_cache(maxsize=None)
@@ -649,44 +747,40 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     ``cap`` must be an integer; a pair with V.dim + U.dim above it is
     refused.
     """
-    if not A.is_linear:
-        raise InputError("middle terms are enumerated for linear shapes only")
-    if not _is_int(cap):
-        raise InputError(f"cap must be an integer, got {cap!r}")
-    V, U = _as_sum(V), _as_sum(U)
-    for end in (V, U):
-        if not isinstance(end, ModuleSum):
-            raise InputError(f"an extension end must be a ModuleSum or a Uniserial, got {end!r}")
-    validate_module(A, V)  # each end once, and before the cap refusal
-    validate_module(A, U)
-    if V.dim + U.dim > cap:
-        raise RefusalError(f"middle dimension {V.dim + U.dim} exceeds cap {cap}")
-    v_runs, v_subs = _splits(V)
-    u_runs, u_subs = _splits(U)
-    # reach[a]: the runs of U with nonzero ext from run a of V
-    reach = [sum(1 << b for b, (u, _) in enumerate(u_runs) if _pair_ext_generators(A, v, u))
-             for v, _ in v_runs]
+    V, U, pv, pu = _checked_ends(A, V, U, cap)
     middles = {U + V}
-    for v_mask, V1, v_rest in v_subs:
-        rows = [r for a, r in enumerate(reach) if v_mask >> a & 1]
-        if not all(rows):
-            continue
-        hit = 0
-        for r in rows:
-            hit |= r
-        for u_mask, U1, u_rest in u_subs:
-            # coupled: every run of U1 has a partner in V1, and vice versa
-            if u_mask & ~hit or not all(r & u_mask for r in rows):
-                continue
-            rest = v_rest + u_rest
-            for mid in _touching_middles(A, V1, U1):
-                middles.add(ModuleSum.from_iterable(rest + mid))
+    for (_, V1, v_rest), (_, U1, u_rest) in _coupled_sub_pairs(pv, pu):
+        rest = v_rest + u_rest
+        for mid in _touching_middles(A, V1, U1):
+            middles.add(ModuleSum.from_iterable(rest + mid))
     return frozenset(middles)
 
 
-def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int) -> frozenset[Uniserial]:
-    """Union of indecomposable summands over every middle of (V, U)."""
-    return frozenset(u for X in middle_terms(A, V, U, cap) for u in X.summands)
+def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int) -> int:
+    """The indecomposable summands of every middle of (V, U), as a mask over
+    ``indecomposables(A)``; ends and ``cap`` are checked as in
+    ``middle_terms``.
+
+    Union rule: the mask is supp V | supp U | the touching mask of every
+    coupled sub-pair (V', U'), the summands of the middles of its classes
+    that touch all of it.  Proof: by the split-off rule the middles are
+    U + V and the (V - V') + (U - U') + M with M a touching middle of a
+    coupled (V', U').  U + V is always a middle and contributes exactly
+    supp V | supp U, and every summand of the rest (V - V') + (U - U') is a
+    summand of V or of U, so only the M add anything new.  A sub-pair's
+    touching mask depends on (V', U') alone, so ``_touching_masks`` keeps
+    it under the two packed count vectors, and a sweep reads it from there
+    for every pair that contains the sub-pair.
+    """
+    _, _, pv, pu = _checked_ends(A, V, U, cap)
+    union = pv.support | pu.support
+    masks = _touching_masks(A)
+    for (kv, V1, _), (ku, U1, _) in _coupled_sub_pairs(pv, pu):
+        mask = masks.get((kv, ku))
+        if mask is None:
+            mask = masks[kv, ku] = _summand_mask(A, (u for mid in _touching_middles(A, V1, U1) for u in mid))
+        union |= mask
+    return union
 
 
 # ---------------------------------------------------------------------------
@@ -725,26 +819,28 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
     _check_sweep_bound("cap", cap, 2)
     _check_sweep_bound("max_mult", max_mult, 1)
     _check_sweep_bound("max_support", max_support, 1)
-    mismatches = []
+    indecs = indecomposables(A)
+    modules = [(M, M.dim, _summand_mask(A, M.summands)) for M in _multisets(A, max_support, max_mult, cap)]
     checked = 0
-    modules = list(_multisets(A, max_support, max_mult, cap))
-    by_support: dict = {}
-    for V in modules:
-        for U in modules:
-            if V.dim + U.dim > cap:
+    by_support: dict[tuple[int, int], int] = {}  # (supp V, supp U) -> union of middle summands
+    for V, v_dim, v_supp in modules:
+        for U, u_dim, u_supp in modules:
+            if v_dim + u_dim > cap:
                 continue
             checked += 1
-            got = middle_summand_union(A, V, U, cap)
-            key = (frozenset(V.summands), frozenset(U.summands))
-            by_support.setdefault(key, set()).update(got)
-    for (supp_v, supp_u), union in sorted(by_support.items(), key=repr):
-        left = IndecSet.of(A, supp_u)
-        right = IndecSet.of(A, supp_v)
-        want = frozenset(star(A, left, right).members())
+            key = v_supp, u_supp
+            by_support[key] = by_support.get(key, 0) | middle_summand_union(A, V, U, cap)
+
+    def members(mask: int) -> list[Uniserial]:
+        return [u for k, u in enumerate(indecs) if mask >> k & 1]
+
+    mismatches = []
+    for (supp_v, supp_u), union in sorted(by_support.items()):
+        want = star(A, IndecSet(A, supp_u), IndecSet(A, supp_v)).mask
         if union != want:
             mismatches.append(
-                f"V supp={sorted(supp_v)} U supp={sorted(supp_u)}: "
-                f"middles gave {sorted(union)}, star gave {sorted(want)}"
+                f"V supp={members(supp_v)} U supp={members(supp_u)}: "
+                f"middles gave {members(union)}, star gave {members(want)}"
             )
     return {"pairs_checked": checked, "support_pairs": len(by_support),
             "mismatches": mismatches,
@@ -756,14 +852,17 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
 # ---------------------------------------------------------------------------
 
 
-def oracle_report(A: Algebra, cap: int = 12) -> dict:
+def oracle_report(A: Algebra, cap: int = 12, max_support: int = 2) -> dict:
     """Pass/fail self-checks: hom agreement, ext agreement, round trip, star sweep.
 
-    A cap below 2 admits no pair of modules, so it is an ``InputError``.
+    The star sweep draws ends of up to ``max_support`` distinct summands.  A
+    cap below 2 admits no pair of modules and a ``max_support`` below 1 no
+    end, so either is an ``InputError``, raised before any check runs.
     """
     from .homext import ext1_nonzero, hom_dim  # local to avoid import-order knots
 
     _check_sweep_bound("cap", cap, 2)
+    _check_sweep_bound("max_support", max_support, 1)
     checks = []
     indecs = indecomposables(A)
     reps = {u: to_matrep(A, u) for u in indecs if u.length <= cap}
@@ -800,7 +899,7 @@ def oracle_report(A: Algebra, cap: int = 12) -> dict:
                     bad += 1
         checks.append({"name": f"decompose round trip ({count} sums)", "ok": bad == 0, "failures": bad})
 
-        sweep = verify_star_sweep(A, cap=min(cap, 10), max_mult=2, max_support=2)
+        sweep = verify_star_sweep(A, cap=min(cap, 10), max_mult=2, max_support=max_support)
         checks.append(
             {
                 "name": f"star sweep ({sweep['pairs_checked']} pairs)",

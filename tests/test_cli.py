@@ -287,6 +287,17 @@ def test_oracle_verify_vacuous_cap_is_input_error(capsys):
         assert code == EXIT_INPUT and out == "" and "error" in err, cap
 
 
+def test_oracle_verify_max_support(capsys):
+    # ends of up to three distinct summands: the sweep row counts their pairs
+    payload = json.loads(run_cli(capsys, "oracle", "verify", "--algebra", LIN3, "--max-support", "3")[1])
+    assert payload["ok"] is True
+    assert [c["name"] for c in payload["checks"]][-1] == "star sweep (12569 pairs)"
+    # a bound below 1 draws no end: refusing beats an empty pass
+    for bad in ("0", "-2"):
+        code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", LIN3, "--max-support", bad)
+        assert code == EXIT_INPUT and out == "" and "error" in err, bad
+
+
 def test_coghost_lemma_vacuous_nmax_is_input_error(capsys):
     # nmax below 1 checks no chain level: refusing beats an empty pass
     for nmax in ("0", "-4"):

@@ -370,6 +370,7 @@ def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
                 assert len(found) == 1, (A.kupisch, V, U, orbit)
                 middles.append(found.pop())
             oracle._touching_middles.cache_clear()  # count on a cold cache
+            oracle._touching_masks.cache_clear()
             calls.clear()
             assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
             assert len(calls) == len(orbits) - 1, (A.kupisch, V, U)  # the zero orbit is U + V
@@ -392,6 +393,7 @@ def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
 
     monkeypatch.setattr(oracle, "decompose", counting)
     oracle._touching_middles.cache_clear()  # count on a cold cache
+    oracle._touching_masks.cache_clear()
     middles = middle_terms(A, V, U)
     assert len(calls) == 23
     assert len(middles) == 5
@@ -445,6 +447,7 @@ def test_middle_terms_reuses_coupled_sub_pairs(linear, monkeypatch):
 
     monkeypatch.setattr(oracle, "decompose", counting)
     oracle._touching_middles.cache_clear()
+    oracle._touching_masks.cache_clear()
     first = middle_terms(A, V, U)
     assert calls
     calls.clear()
@@ -481,7 +484,7 @@ def test_star_matches_oracle_middles_along_generation_time(linear, linear3_ab):
                         if U.dim + V.dim > 10:
                             continue
                         if (V, U) not in unions:
-                            unions[V, U] = sum(1 << indecs.index(u) for u in middle_summand_union(A, V, U, 10))
+                            unions[V, U] = middle_summand_union(A, V, U, 10)
                         got |= unions[V, U]
                 assert got == nxt, (A.kupisch, T, cur)
                 checked += 1
@@ -505,6 +508,27 @@ def test_middle_terms_builds_nothing_without_ext(linear, monkeypatch):
     monkeypatch.setattr(oracle, "_matrep", counting)
     assert middle_terms(A, V, U) == frozenset({U + V})
     assert calls == []
+
+
+def test_middle_summand_union_is_the_union_of_middle_terms(linear, linear3_ab):
+    # The union rule reads a pair's summands off supp V, supp U and the
+    # touching masks of its coupled sub-pairs; the reference is the union
+    # of the summands of every middle ``middle_terms`` lists.  Every cap-10
+    # sweep pair of linear3 and linear3_ab, and a seeded sample of linear4's.
+    rng = random.Random(15)
+    oracle._touching_masks.cache_clear()  # build every mask in this test
+    for A, sample in ((linear(3), None), (linear3_ab, None), (linear(4), 1500)):
+        index = {u: k for k, u in enumerate(indecomposables(A))}
+        modules = list(_multisets(A, 2, 2, 10))
+        pairs = [(V, U) for V in modules for U in modules if V.dim + U.dim <= 10]
+        if sample:
+            pairs = rng.sample(pairs, sample)
+        for V, U in pairs:
+            want = 0
+            for X in middle_terms(A, V, U, 10):
+                for u in X.summands:
+                    want |= 1 << index[u]
+            assert middle_summand_union(A, V, U, 10) == want, (A.kupisch, V, U)
 
 
 def _interval_hom_count_reference(A, I, X) -> int:
@@ -571,8 +595,10 @@ def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab):
     # sweep's pairs, and nothing else: the cache's size is that count.
     for A, entries in ((linear(3), 139), (linear3_ab, 24)):
         oracle._touching_middles.cache_clear()
+        oracle._touching_masks.cache_clear()
         verify_star_sweep(A, cap=10, max_mult=2, max_support=2)
         assert oracle._touching_middles.cache_info().currsize == entries
+        assert len(oracle._touching_masks(A)) == entries
 
 
 def test_vacuous_sweeps_are_input_errors(linear):
@@ -587,6 +613,9 @@ def test_vacuous_sweeps_are_input_errors(linear):
     for cap in (1, 0, -3):
         with pytest.raises(InputError):
             oracle_report(A, cap=cap)
+    for max_support in (0, -1, 2.0, True):
+        with pytest.raises(InputError):
+            oracle_report(A, max_support=max_support)
 
 
 def test_oracle_report_linear(linear3_ab):
