@@ -498,6 +498,7 @@ def test_middle_terms_builds_nothing_without_ext(linear, monkeypatch):
     A = linear(4)
     V = ModuleSum.of(Uniserial(2, 1))
     U = ModuleSum.of(Uniserial(1, 1))
+    oracle._ext_rows(A)  # the ext table builds each uniserial's representation once
     calls = []
     original = oracle._matrep
 
