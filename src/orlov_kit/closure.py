@@ -47,7 +47,7 @@ produces, so star is computed exactly from two bounds and a search:
   c <= a <= d <= b.
 * gap bits (hull minus floor) that the hom-support rule leaves are decided
   one by one by an explicit witness search over F2 (`_realizable`),
-  memoised per (left, right, bit).  Five exact rules bound its work per
+  memoised per (left, right, bit).  Four exact rules bound its work per
   candidate.  Hom spaces between windows are at most one-dimensional, so a
   map g: X -> V is a 0/1 combination of the canonical maps X_i -> V_j, one
   bitmask C_i per summand X_i = [a_i, b_i]: the copies V_j = [c_j, d_j] it
@@ -93,21 +93,12 @@ produces, so star is computed exactly from two bounds and a search:
       g iff some minimal set lies in the left set.  The minimal sets of
       (X, V) are enumerated once (`_kernel_sets`) for every left set.  X has
       at most _SEARCH_PIECES summands and V at most _SEARCH_COPIES, so the
-      enumeration runs over at most 16 canonical maps and needs no cap;
-  (e) equal summands are mapped once.  If X_i = X_k, swapping them is an
-      automorphism s of X; g s is onto iff g is, and ker(g s) = s^-1 ker g
-      is isomorphic to ker g, so both have the same kernel windows.  In
-      bitmasks g s swaps C_i and C_k, and these permutations act on each
-      run of equal consecutive windows.  Compare entries by their top part
-      C_i & top_i first and their rest C_i & ~top_i second: each orbit then
-      holds exactly one C that is nonincreasing along every run, the one
-      with the run's entries sorted.  `_kernel_sets` visits only those: top
-      parts nonincreasing along each run, and rest parts nonincreasing
-      along each stretch of a run whose top parts are equal.  The set of
-      kernel window sets, and so its minimal members, is unchanged.
+      enumeration runs over at most 16 canonical maps and needs no cap.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
-monotone and stabilises after at most #indecomposables steps.
+monotone and stabilises after at most #indecomposables steps.  One walk
+(`_walk`) computes each level once, up to the stable level; `_chain` keeps
+it per T for `bracket_n` and the level checks.
 
 generation_time(T) is the least n with [T]_{n+1} = everything (INFINITE if
 the chain stabilises short of that); the spectrum of such times over all
@@ -590,35 +581,21 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
-def _run_choices(masks, keys):
-    """Tuples whose entry i is a submask of masks[i], nonincreasing along
-    each run of equal consecutive keys; masks is constant on every run."""
-    parts = []
-    start = 0
-    for _, run in itertools.groupby(keys):
-        length = len(list(run))
-        parts.append(itertools.combinations_with_replacement(_submasks(masks[start]), length))
-        start += length
-    for choice in itertools.product(*parts):
-        yield tuple(itertools.chain.from_iterable(choice))
-
-
 @lru_cache(maxsize=None)
 def _kernel_sets(X, Vc) -> tuple[int, ...]:
     """The inclusion-minimal window sets of ker g over all surjections
     g: X -> Vc, as masks of ``_window_bit``s (rule d).
 
     The top parts of C decide surjectivity (rule b), so they are chosen
-    first and the rest only for a choice that is onto; both are taken once
-    per orbit of the permutations of equal summands (rule e).
+    first and the rest only for a choice that is onto.
     """
     allowed, top, vertices = _map_plan(X, Vc)
-    rest = tuple(m & ~t for m, t in zip(allowed, top))
+    rest_choices = [_submasks(m & ~t) for m, t in zip(allowed, top)]
     found: set[int] = set()
-    for tops in _run_choices(top, X):
+    for tops in itertools.product(*map(_submasks, top)):
         if _rank_f2(tops) != len(Vc):
             continue
-        for rests in _run_choices(rest, zip(X, tops)):
+        for rests in itertools.product(*rest_choices):
             found.add(_kernel_mask(vertices, [t | r for t, r in zip(tops, rests)]))
     return tuple(sorted(k for k in found if not any(m != k and m & ~k == 0 for m in found)))
 
@@ -633,7 +610,7 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
     Candidate middles are the gap window plus pieces from the hull; quotient
     candidates are multisets of right windows dominated by the middle's
     dimension vector whose complement is assemblable from left windows.  Each
-    surviving pair goes to the F2 surjection search.  Five exact rules keep
+    surviving pair goes to the F2 surjection search.  Four exact rules keep
     the work per candidate small (proofs in the module docstring):
 
     (a) ``_quotients`` extends a multiset only while it fits under X: adding
@@ -653,9 +630,6 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
     (d) the answer comes from the minimal kernel window sets of (X, V),
         enumerated once per sorted X and V whatever the left set
         (``_kernel_sets``): some g has ker g in add(left) iff some minimal
-        set lies in the left set.
-    (e) ``_kernel_sets`` maps equal summands of X once: permuting them
-        changes g but not its kernel, so it visits one map per orbit.
         set lies in the left set.
     """
     indecs = indecomposables(A)
@@ -691,18 +665,32 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
     return False
 
 
-@lru_cache(maxsize=None)
-def _bracket_mask(A: Algebra, t_mask: int, n: int) -> int:
-    """[T]_n; the chain is stable from the first level star leaves unchanged."""
-    if n == 0:
-        return 0
+def _walk(A: Algebra, t_mask: int):
+    """Yield [T]_1, [T]_2, ... up to the stable level: the first that star
+    leaves unchanged, or the full set, whose star is never asked for."""
+    full = (1 << A.dimension) - 1
     cur = t_mask
-    for _ in range(n - 1):
+    yield cur
+    while cur != full:
         nxt = star_mask(A, t_mask, cur)
         if nxt == cur:
-            break
+            return
         cur = nxt
-    return cur
+        yield cur
+
+
+@lru_cache(maxsize=None)
+def _chain(A: Algebra, t_mask: int) -> tuple[int, ...]:
+    """([T]_1, ..., [T]_s) with s the stable level, walked once per T."""
+    return tuple(_walk(A, t_mask))
+
+
+def _level(A: Algebra, t_mask: int, n: int) -> int:
+    """[T]_n as a mask; [T]_0 is empty and [T]_n = [T]_s for n >= s."""
+    if n == 0:
+        return 0
+    chain = _chain(A, t_mask)
+    return chain[min(n, len(chain)) - 1]
 
 
 def bracket_n(A: Algebra, T: IndecSet, n: int) -> IndecSet:
@@ -710,22 +698,18 @@ def bracket_n(A: Algebra, T: IndecSet, n: int) -> IndecSet:
     if not _is_int(n) or n < 0:
         raise InputError(f"closure level must be an integer >= 0, got {n!r}")
     _check_algebra(A, T)
-    return IndecSet(A, _bracket_mask(A, T.mask, n))
+    return IndecSet(A, _level(A, T.mask, n))
 
 
 def generation_time(A: Algebra, T: IndecSet):
-    """Least n with [T]_{n+1} = all indecomposables; INFINITE if never reached."""
+    """Least n with [T]_{n+1} = all indecomposables; INFINITE if never
+    reached.  The spectrum scan asks once per T, so the walk is not kept."""
     _check_algebra(A, T)
     full = IndecSet.full(A).mask
-    cur = T.mask
-    level = 1
-    while cur != full:
-        nxt = star_mask(A, T.mask, cur)
-        if nxt == cur:
-            return INFINITE
-        cur = nxt
-        level += 1
-    return level - 1
+    for n, level in enumerate(_walk(A, T.mask)):
+        if level == full:
+            return n
+    return INFINITE
 
 
 def is_strong_generator(A: Algebra, T: IndecSet) -> bool:
@@ -896,7 +880,7 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
 
 
 # ---------------------------------------------------------------------------
-# subset lemmas (sanity layer used by tests and the verify command)
+# subset lemmas (a sanity layer for the tests)
 # ---------------------------------------------------------------------------
 
 
@@ -927,9 +911,9 @@ def verify_subset_lemmas(
         pairs = [(rng.randrange(1, full + 1), rng.randrange(1, full + 1)) for _ in range(samples)]
     for t1, t2 in pairs:
         for m, k in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
-            left = _bracket_mask(A, t1, m)
-            right = _bracket_mask(A, t2, k)
-            combined = _bracket_mask(A, t1 | t2, m + k)
+            left = _level(A, t1, m)
+            right = _level(A, t2, k)
+            combined = _level(A, t1 | t2, m + k)
             # Bound-first containment: floor ⊆ star ⊆ hull, so a clean floor
             # plus an absorbed hull settles the pair without arbitration.
             floor, hull = _star_hull(A, left, right)
@@ -953,7 +937,7 @@ def verify_subset_lemmas(
             if not gt_bigger <= gt:
                 violations.append(f"absorption failure: time({t | extra:#x}) > time({t:#x})")
         if gt is not INFINITE and gt >= 1:
-            lower = _bracket_mask(A, t, gt)
+            lower = _level(A, t, gt)
             if lower == full:
                 violations.append(f"level failure: [{t:#x}]_{gt} already everything but time is {gt}")
     return violations

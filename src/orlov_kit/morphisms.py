@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 
-from .closure import IndecSet, _bits, _check_algebra, _union, bracket_n, fac_closure, sub_closure
+from .closure import IndecSet, _bits, _check_algebra, _hom_support, _level, _union, fac_closure, sub_closure
 from .homext import ARArrow, _linear_hom_dim, ar_quiver, hom_dim, interval_end
 from .nakayama import (
     Algebra,
@@ -224,28 +224,19 @@ def _chain_tables(A: Algebra):
       out_of[a][b] = {I : Hom(I, a) != 0 and top(I) <= end(b)}  (ghost a -> b)
 
     None where Hom(a, b) = 0.  Identity pairs are included: id_a is a
-    T-coghost iff Hom(a, T) = 0.
+    T-coghost iff Hom(a, T) = 0.  Hom is read from ``_hom_support``.
     """
     _require_linear(A)
     indecs = indecomposables(A)
     count = len(indecs)
     ends = [interval_end(A, u) for u in indecs]
-    hom = [[hom_dim(A, x, y) for y in indecs] for x in indecs]
+    hom_into, hom_out = _hom_support(A)  # bit y of hom_out[x], bit x of hom_into[y]: Hom(x, y) != 0
     into = [[None] * count for _ in range(count)]
     out_of = [[None] * count for _ in range(count)]
     for a in range(count):
-        for b in range(count):
-            if hom[a][b] == 0:
-                continue
-            cmask = 0
-            gmask = 0
-            for i in range(count):
-                if hom[b][i] and indecs[a].top_vertex <= ends[i]:
-                    cmask |= 1 << i
-                if hom[i][a] and indecs[i].top_vertex <= ends[b]:
-                    gmask |= 1 << i
-            into[b][a] = cmask
-            out_of[a][b] = gmask
+        for b in _bits(hom_out[a]):
+            into[b][a] = sum(1 << i for i in _bits(hom_out[b]) if indecs[a].top_vertex <= ends[i])
+            out_of[a][b] = sum(1 << i for i in _bits(hom_into[a]) if indecs[i].top_vertex <= ends[b])
     return ends, into, out_of
 
 
@@ -340,28 +331,26 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
     step_out = _edge_masks(out_of, T.mask)
     # reach_in[y] / reach_out[x]: chain sources into y / targets out of x
     reach_in = reach_out = [1 << k for k in range(len(indecs))]
-    sub_level = sub_closure(A, T)
-    fac_level = fac_closure(A, T)
+    sub_mask = sub_closure(A, T).mask
+    fac_mask = fac_closure(A, T).mask
     state = None
     for n in range(1, nmax + 1):
         reach_in = [_union(step_in, r) for r in reach_in]
         reach_out = [_union(step_out, r) for r in reach_out]
-        in_sub = bracket_n(A, sub_level, n)
-        in_fac = bracket_n(A, fac_level, n)
+        in_sub = _level(A, sub_mask, n)
+        in_fac = _level(A, fac_mask, n)
         if state == (reach_in, reach_out, in_sub, in_fac):
             break
         state = (reach_in, reach_out, in_sub, in_fac)
         for y, Y in enumerate(indecs):
             cog = any(indecs[a].top_vertex <= ends[y] for a in _bits(reach_in[y]))
-            if cog == (Y in in_sub):
-                violations.append(
-                    f"coghost mismatch: T={T.mask:#x} n={n} Y={Y}: chain={cog}, level member={Y in in_sub}"
-                )
             gho = any(Y.top_vertex <= ends[b] for b in _bits(reach_out[y]))
-            if gho == (Y in in_fac):
-                violations.append(
-                    f"ghost mismatch: T={T.mask:#x} n={n} Y={Y}: chain={gho}, level member={Y in in_fac}"
-                )
+            for kind, chain, level in (("coghost", cog, in_sub), ("ghost", gho, in_fac)):
+                member = bool(level >> y & 1)
+                if chain == member:
+                    violations.append(
+                        f"{kind} mismatch: T={T.mask:#x} n={n} Y={Y}: chain={chain}, level member={member}"
+                    )
     return violations
 
 

@@ -31,8 +31,8 @@ same holds for a summand U_j whose columns theta never reaches.  So a
 class's middle is its untouched summands plus the middle of its
 restriction to the touched sub-pair (V', U'), a class that touches every
 summand of both ends.  ``middle_terms`` therefore decomposes only such
-touching classes, once per fully coupled pair (V', U') in the cached
-``_touching_middles``.  A sub-multiset of a sweep multiset is a sweep
+touching classes, once per fully coupled pair (V', U') met, whose middles
+``_touching_table`` keeps.  A sub-multiset of a sweep multiset is a sweep
 multiset, so one ``verify_star_sweep`` decomposes each coupled pair once.
 
 Union rule.  The summands of all middles of (V, U) are supp V, supp U and
@@ -43,11 +43,11 @@ the summands of (V - V') + (U - U') are among them, so only the M add
 more.  ``middle_summand_union`` therefore works in the index space of
 ``indecomposables``: each end's ``_end_plan`` holds its support mask and
 its sub-multisets under int keys, ``_ext_rows`` says which pairs of
-indecomposables have ext, and ``_touching_masks`` keeps one summand mask
-per coupled sub-pair, keyed by the pair's two int keys.  No middle is
-built as a ``ModuleSum`` there.  At cap 10 one sweep leaves 139, 24 and
-861 entries each in ``_touching_middles`` and ``_touching_masks`` on
-``linear3``, ``linear3_ab`` and ``linear4``.
+indecomposables have ext, and the same ``_touching_table`` entry holds the
+coupled sub-pair's summand mask beside its middles, keyed by the pair's two
+int keys.  No middle is built as a ``ModuleSum`` there.  At cap 10 one
+sweep leaves 139, 24 and 861 entries in ``_touching_table`` on ``linear3``,
+``linear3_ab`` and ``linear4``.
 
 Matrices live as tuples of int bitmasks, one row per SOURCE basis vector,
 bit j = coefficient on target basis j; mat_mul therefore composes maps in
@@ -658,29 +658,34 @@ def _checked_ends(A: Algebra, V, U, cap) -> tuple[ModuleSum, ModuleSum, _EndPlan
     return V, U, _end_plan(A, V), _end_plan(A, U)
 
 
-def _coupled_sub_pairs(pv: _EndPlan, pu: _EndPlan):
-    """The ``subs`` entries (of V', of U') of every coupled sub-pair: V' <= V
+@lru_cache(maxsize=None)
+def _touching_table(A: Algebra) -> dict[tuple[int, int], tuple[tuple[tuple[Uniserial, ...], ...], int]]:
+    """(middles, summand mask) of the touching middles of each coupled
+    sub-pair met so far, keyed by the sub-pair's two packed count vectors;
+    filled by ``_coupled_sub_pairs``."""
+    return {}
+
+
+def _coupled_sub_pairs(A: Algebra, pv: _EndPlan, pu: _EndPlan):
+    """(V - V', U - U', middles, mask) for every coupled sub-pair: V' <= V
     and U' <= U nonempty, and every summand of each with an ext partner in
-    the other.  Coupling depends on the supports alone."""
+    the other; middles and mask are the pair's ``_touching_table`` entry,
+    built on first use.  Coupling depends on the supports alone."""
+    table = _touching_table(A)
     for _, rows, hit, v_subs in pv.groups:
         for u_support, _, _, u_subs in pu.groups:
             # each member of the U side's support has a partner on the V side, and vice versa
             if u_support & ~hit or not all(row & u_support for row in rows):
                 continue
-            for v_sub in v_subs:
-                for u_sub in u_subs:
-                    yield v_sub, u_sub
+            for kv, V1, v_rest in v_subs:
+                for ku, U1, u_rest in u_subs:
+                    entry = table.get((kv, ku))
+                    if entry is None:
+                        middles = _touching_middles(A, V1, U1)
+                        entry = table[kv, ku] = middles, _summand_mask(A, (u for mid in middles for u in mid))
+                    yield v_rest, u_rest, *entry
 
 
-@lru_cache(maxsize=None)
-def _touching_masks(A: Algebra) -> dict[tuple[int, int], int]:
-    """The summands of the touching middles of each coupled sub-pair met so
-    far, as an ``indecomposables`` mask keyed by the sub-pair's two packed
-    count vectors.  Filled from ``_touching_middles``."""
-    return {}
-
-
-@lru_cache(maxsize=None)
 def _touching_middles(A: Algebra, V: ModuleSum, U: ModuleSum) -> tuple[tuple[Uniserial, ...], ...]:
     """Middles of the classes of (V, U) that touch every summand of both
     ends, decomposed once per orbit, as sorted summand tuples (smaller to
@@ -741,18 +746,17 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     images, each tried against every transposition; when all summands are
     distinct the group is trivial and nothing is marked.  A nonzero orbit
     of (V, U) is one sub-pair (V', U') and one touching orbit of it, so on
-    a cold ``_touching_middles`` cache a call still decomposes once per
-    nonzero orbit; a warm cache serves every sub-pair seen before.
+    a cold ``_touching_table`` a call still decomposes once per nonzero
+    orbit; a warm table serves every sub-pair seen before.
 
     ``cap`` must be an integer; a pair with V.dim + U.dim above it is
     refused.
     """
     V, U, pv, pu = _checked_ends(A, V, U, cap)
     middles = {U + V}
-    for (_, V1, v_rest), (_, U1, u_rest) in _coupled_sub_pairs(pv, pu):
-        rest = v_rest + u_rest
-        for mid in _touching_middles(A, V1, U1):
-            middles.add(ModuleSum.from_iterable(rest + mid))
+    for v_rest, u_rest, touching, _ in _coupled_sub_pairs(A, pv, pu):
+        for mid in touching:
+            middles.add(ModuleSum.from_iterable(v_rest + u_rest + mid))
     return frozenset(middles)
 
 
@@ -768,17 +772,13 @@ def middle_summand_union(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int) -> in
     coupled (V', U').  U + V is always a middle and contributes exactly
     supp V | supp U, and every summand of the rest (V - V') + (U - U') is a
     summand of V or of U, so only the M add anything new.  A sub-pair's
-    touching mask depends on (V', U') alone, so ``_touching_masks`` keeps
+    touching mask depends on (V', U') alone, so ``_touching_table`` keeps
     it under the two packed count vectors, and a sweep reads it from there
     for every pair that contains the sub-pair.
     """
     _, _, pv, pu = _checked_ends(A, V, U, cap)
     union = pv.support | pu.support
-    masks = _touching_masks(A)
-    for (kv, V1, _), (ku, U1, _) in _coupled_sub_pairs(pv, pu):
-        mask = masks.get((kv, ku))
-        if mask is None:
-            mask = masks[kv, ku] = _summand_mask(A, (u for mid in _touching_middles(A, V1, U1) for u in mid))
+    for _, _, _, mask in _coupled_sub_pairs(A, pv, pu):
         union |= mask
     return union
 

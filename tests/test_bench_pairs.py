@@ -87,24 +87,23 @@ def test_traced_block_keeps_moved_lines_and_differing_counts():
                    "verify_battery.homext.hom_dim.self_s": 0.2},
         "change": {"ospec_relation.closure.realizable.self_s": 0.64, "oracle_sweep.oracle.decompose.self_s": 0.4},
     }
-    runs = {side: bench_pairs.parse_traced(_traced(counts[side], seconds[side]), stderr[side], "all")
+    # end-to-end seconds and the host calibration are not per layer
+    workload_level = {"verify_battery.wall_s": 0.9, "verify_battery.setup_s": 0.1, "verify_battery.host.calib_s": 0.3}
+    runs = {side: bench_pairs.parse_traced(_traced(counts[side], {**seconds[side], **workload_level}),
+                                           stderr[side], "all")
             for side in bench_pairs.SIDES}
-    # only closure.* and oracle.* metrics are kept, counts and seconds apart
-    assert runs["change"]["counts"] == {
-        "ospec_hereditary.closure.generation_time.calls": 1876, "oracle_sweep.oracle.decompose.calls": 4365,
-    }
+    # every per-layer metric is kept, counts and seconds apart
+    assert runs["change"]["counts"] == counts["change"]
     assert bench_pairs.traced_block("cmd", runs) == {
         "command": "cmd",
         "moved_lines": {"parent": [], "change": [moved]},
         "counts_that_differ": {
             "ospec_hereditary.closure.generation_time.calls": {"parent": 3468, "change": 1876},
             "ospec_relation.closure.hull.calls": {"parent": 208, "change": None},
+            "verify_battery.homext.hom_dim.calls": {"parent": 10, "change": 11},
         },
         # every layer's seconds on each side, equal or not
-        "seconds": {
-            "parent": {"ospec_relation.closure.realizable.self_s": 1.05, "oracle_sweep.oracle.decompose.self_s": 0.4},
-            "change": {"ospec_relation.closure.realizable.self_s": 0.64, "oracle_sweep.oracle.decompose.self_s": 0.4},
-        },
+        "seconds": seconds,
     }
 
 
@@ -112,7 +111,9 @@ def test_parse_traced_prefixes_one_workload_and_refuses_a_bad_run():
     stdout = _traced({"closure.star_mask.calls": 7, "morphisms.compose.calls": 3},
                      {"closure.star_mask.self_s": 0.25, "morphisms.compose.self_s": 0.5})
     got = bench_pairs.parse_traced(stdout, "", "ospec_relation")
-    assert got == {"moved": [], "counts": {"ospec_relation.closure.star_mask.calls": 7},
-                   "seconds": {"ospec_relation.closure.star_mask.self_s": 0.25}}
+    assert got == {"moved": [],
+                   "counts": {"ospec_relation.closure.star_mask.calls": 7, "ospec_relation.morphisms.compose.calls": 3},
+                   "seconds": {"ospec_relation.closure.star_mask.self_s": 0.25,
+                               "ospec_relation.morphisms.compose.self_s": 0.5}}
     with pytest.raises(bench_pairs.RunError):
         bench_pairs.parse_traced(_traced({}, {}, correct=False), "", "all")

@@ -813,6 +813,38 @@ def test_bracket_deep_level_is_the_stable_level(linear):
     assert bracket_n(A, P1, 5000) == bracket_n(A, P1, 6) == P1
 
 
+def test_bracket_matches_iterated_star(linear, linear3_ab):
+    # [T]_n against star applied n - 1 times with no stop, for every subset
+    # and every level up to two past the longest possible chain
+    for A in (linear(3), linear3_ab):
+        count = len(indecomposables(A))
+        for t in range(1 << count):
+            T = IndecSet(A, t)
+            level = IndecSet.empty(A)
+            for n in range(count + 3):
+                assert bracket_n(A, T, n) == level, (A.kupisch, t, n)
+                level = T if n == 0 else star(A, T, level)
+
+
+def test_bracket_walks_each_chain_once(linear, monkeypatch):
+    # asking for [T]_1, ..., [T]_k one at a time makes at most one star call
+    # per level of the chain, not one per level below each n
+    A = linear(4)
+    S = simples_set(A)
+    calls = []
+    original = closure.star_mask
+
+    def counting(B, left, right):
+        calls.append((left, right))
+        return original(B, left, right)
+
+    monkeypatch.setattr(closure, "star_mask", counting)
+    closure._chain.cache_clear()
+    levels = [bracket_n(A, S, n) for n in range(1, 7)]
+    assert levels[3].is_full
+    assert len(calls) <= len(set(levels)) == 4
+
+
 def test_generation_time_values(linear):
     assert generation_time(linear(3), simples_set(linear(3))) == 2
     assert generation_time(linear(4), simples_set(linear(4))) == 3

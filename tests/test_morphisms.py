@@ -30,6 +30,7 @@ from orlov_kit import (
     simple,
     tm_generator,
 )
+from conftest import all_linear_algebras
 from orlov_kit import morphisms
 from orlov_kit.homext import ARArrow, interval_end
 from orlov_kit.morphisms import (
@@ -272,6 +273,36 @@ def test_coghost_lemma_stops_at_the_fixpoint(linear):
     for mask in range(1 << len(indecomposables(A))):
         T = IndecSet(A, mask)
         assert coghost_lemma_check(A, T, 10**6) == coghost_lemma_check(A, T, 8), mask
+
+
+def _reference_chain_tables(A):
+    """``_chain_tables`` built from validated ``hom_dim`` on every pair."""
+    indecs = indecomposables(A)
+    count = len(indecs)
+    ends = [interval_end(A, u) for u in indecs]
+    hom = [[hom_dim(A, x, y) for y in indecs] for x in indecs]
+    into = [[None] * count for _ in range(count)]
+    out_of = [[None] * count for _ in range(count)]
+    for a in range(count):
+        for b in range(count):
+            if hom[a][b]:
+                into[b][a] = sum(1 << i for i in range(count)
+                                 if hom[b][i] and indecs[a].top_vertex <= ends[i])
+                out_of[a][b] = sum(1 << i for i in range(count)
+                                   if hom[i][a] and indecs[i].top_vertex <= ends[b])
+    return ends, into, out_of
+
+
+def test_chain_tables_match_hom_dim_reference(monkeypatch):
+    # every linear algebra with n <= 5, hereditary and with each relation;
+    # the tables read Hom from the closure layer's masks, not from hom_dim
+    algebras = [A for n in range(1, 6) for A in all_linear_algebras(n)]
+    want = {A: _reference_chain_tables(A) for A in algebras}
+    monkeypatch.setattr(morphisms, "hom_dim", None)
+    morphisms._chain_tables.cache_clear()
+    for A in algebras:
+        ends, into, out_of = morphisms._chain_tables(A)
+        assert (ends, into, out_of) == want[A], A.kupisch
 
 
 # ---------------------------------------------------------------------------

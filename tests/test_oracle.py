@@ -369,8 +369,7 @@ def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
                 found = {original(_build_middle(Urep, Vrep, pairs, bits)) for bits in orbit}
                 assert len(found) == 1, (A.kupisch, V, U, orbit)
                 middles.append(found.pop())
-            oracle._touching_middles.cache_clear()  # count on a cold cache
-            oracle._touching_masks.cache_clear()
+            oracle._touching_table.cache_clear()  # count on a cold table
             calls.clear()
             assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
             assert len(calls) == len(orbits) - 1, (A.kupisch, V, U)  # the zero orbit is U + V
@@ -392,8 +391,7 @@ def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
         return original(X)
 
     monkeypatch.setattr(oracle, "decompose", counting)
-    oracle._touching_middles.cache_clear()  # count on a cold cache
-    oracle._touching_masks.cache_clear()
+    oracle._touching_table.cache_clear()  # count on a cold table
     middles = middle_terms(A, V, U)
     assert len(calls) == 23
     assert len(middles) == 5
@@ -446,8 +444,7 @@ def test_middle_terms_reuses_coupled_sub_pairs(linear, monkeypatch):
         return original(X)
 
     monkeypatch.setattr(oracle, "decompose", counting)
-    oracle._touching_middles.cache_clear()
-    oracle._touching_masks.cache_clear()
+    oracle._touching_table.cache_clear()
     first = middle_terms(A, V, U)
     assert calls
     calls.clear()
@@ -517,7 +514,7 @@ def test_middle_summand_union_is_the_union_of_middle_terms(linear, linear3_ab):
     # of the summands of every middle ``middle_terms`` lists.  Every cap-10
     # sweep pair of linear3 and linear3_ab, and a seeded sample of linear4's.
     rng = random.Random(15)
-    oracle._touching_masks.cache_clear()  # build every mask in this test
+    oracle._touching_table.cache_clear()  # build every mask in this test
     for A, sample in ((linear(3), None), (linear3_ab, None), (linear(4), 1500)):
         index = {u: k for k, u in enumerate(indecomposables(A))}
         modules = list(_multisets(A, 2, 2, 10))
@@ -591,15 +588,24 @@ def test_star_sweep_support_three(linear, linear3_ab):
         assert (report["pairs_checked"], report["support_pairs"]) == counts
 
 
-def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab):
-    # One ``_touching_middles`` entry per fully coupled sub-pair of the
-    # sweep's pairs, and nothing else: the cache's size is that count.
+def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab, monkeypatch):
+    # One ``_touching_table`` entry per fully coupled sub-pair of the
+    # sweep's pairs, and nothing else, each built by one
+    # ``_touching_middles`` call.
+    calls = []
+    original = oracle._touching_middles
+
+    def counting(A, V, U):
+        calls.append((V, U))
+        return original(A, V, U)
+
+    monkeypatch.setattr(oracle, "_touching_middles", counting)
     for A, entries in ((linear(3), 139), (linear3_ab, 24)):
-        oracle._touching_middles.cache_clear()
-        oracle._touching_masks.cache_clear()
+        oracle._touching_table.cache_clear()
+        calls.clear()
         verify_star_sweep(A, cap=10, max_mult=2, max_support=2)
-        assert oracle._touching_middles.cache_info().currsize == entries
-        assert len(oracle._touching_masks(A)) == entries
+        assert len(oracle._touching_table(A)) == entries
+        assert len(calls) == len(set(calls)) == entries
 
 
 def test_vacuous_sweeps_are_input_errors(linear):

@@ -20,10 +20,11 @@ other keys, so one file collects a claim and several no-regression series.
 With ``--traced`` the tool then makes one ``--seed S --trace 1`` run of the
 workload per side, parent first.  NAME may be ``all`` there, with
 ``--pairs 0`` for traced runs only.  The file's ``traced`` block gets the
-command, each side's ``MOVED`` lines, every ``closure.*``/``oracle.*``
-count that differs between the sides, and under ``seconds`` each side's
-``closure.*``/``oracle.*`` per-layer seconds (unit ``s``), all keyed
-``<workload>.<metric>``.
+command, each side's ``MOVED`` lines, every per-layer count (unit
+``count``) that differs between the sides, and under ``seconds`` each
+side's per-layer seconds (unit ``s``), all keyed ``<workload>.<metric>``.
+Every metric of a traced run is per layer except the end-to-end ones and
+``host.calib_s``.
 
 A run that is not ``correct``, has a failed command or exits nonzero stops
 the tool before anything is written.
@@ -72,14 +73,15 @@ def parse_run(stdout: str) -> dict:
 
 
 def parse_traced(stdout: str, stderr: str, workload: str) -> dict:
-    """The ``MOVED`` lines and the closure/oracle counts and seconds of one
+    """The ``MOVED`` lines and the per-layer counts and seconds of one
     ``--trace 1`` run, keyed ``<workload>.<metric>`` (``all`` prefixes them
     already)."""
     prefix = "" if workload == "all" else f"{workload}."
     kept = {"count": {}, "s": {}}
     for key, metric in _result(stdout)["metrics"].items():
         key = prefix + key
-        if metric["unit"] in kept and key.split(".", 1)[1].startswith(("closure.", "oracle.")):
+        name = key.split(".", 1)[1]
+        if metric["unit"] in kept and name not in METRICS and not name.startswith("host."):
             kept[metric["unit"]][key] = metric["value"]
     moved = [line for line in stderr.splitlines() if line.startswith("MOVED ")]
     return {"moved": moved, "counts": kept["count"], "seconds": kept["s"]}
