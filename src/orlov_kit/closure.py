@@ -17,7 +17,8 @@ produces, so star is computed exactly from two bounds and a search:
   each 8-bit chunk c of the left mask, a 256-entry table holds the union of
   the pair-table entries (q, 8c + u) over the bits u of the byte.  Built
   once per algebra in count * ceil(count / 8) * 256 steps, they cost the
-  floor one lookup per (right bit, nonzero left byte).
+  floor one lookup per (right bit, nonzero left byte).  Above
+  FLOOR_TABLE_LIMIT entries star is refused before any table is built.
 * hull - star is monotone under sub-/quotient-closure of both sides, and on
   closed sides the floor is the whole answer, so star(L, R) lies in
   hull = floor(Sub L, Sub R) & floor(Fac L, Fac R).  The floor lies in the
@@ -45,6 +46,22 @@ produces, so star is computed exactly from two bounds and a search:
   having Hom(w, v) != 0, is refuted with no search.  `_hom_support` holds
   the two masks per w, from the line's rule Hom([a, b], [c, d]) != 0 iff
   c <= a <= d <= b.
+* witness table - each witness the search below finds is kept per algebra
+  (`_witness_table`): under gap bit w, the pair (k, v) of indecomposable
+  masks of the windows of ker g (a minimal kernel window set, rule d) and of
+  the quotient V.  A later gap bit w of (left, right) is set with no search
+  when some kept (k, v) has k ⊆ left and v ⊆ right.  This is exact: the kept
+  sequence 0 -> ker g -> X -> V -> 0 has ker g in add(k) ⊆ add(left) and V
+  in add(v) ⊆ add(right), so it is itself a witness for (left, right).  It
+  also lies inside the search's horizon for (left, right).  The search met
+  (X, V) as a candidate, and its conditions on a candidate depend on X and
+  V alone (shape caps, dimensions, rule b) except for three, which hold
+  here: the summands of X lie in star(k, v) ⊆ star(left, right) ⊆ hull;
+  the windows of V lie in v ⊆ right; and ker g, a sum of windows of k,
+  makes the dimension vector of X minus V's a sum of left windows, while
+  k, a minimal kernel set of (X, V) inside the left set, passes rule (d).
+  So the search would return True as well, and every decision is the one
+  the search makes.
 * gap bits (hull minus floor) that the hom-support rule leaves are decided
   one by one by an explicit witness search over F2 (`_realizable`),
   memoised per (left, right, bit).  Four exact rules bound its work per
@@ -144,7 +161,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -170,6 +186,14 @@ from .nakayama import (
 #: the fast side and everything from n = 6 up (21 indecomposables, of which
 #: 2 are forced simples: 2^19 closure runs, and beyond) behind --force.
 OSPEC_REFUSAL_LIMIT = 20
+
+#: refuse star, and so every closure level, when the floor tables would hold
+#: more than this many entries, 256 * count * ceil(count / 8) for count
+#: indecomposables.  Measured building them on one core: linear20 (210
+#: indecomposables, 1.5M entries) 0.2 s and +26 MB, linear26 (351, 4.0M)
+#: 0.7 s and +85 MB, linear32 (528, 8.9M) 2.1 s and +219 MB, linear40 (820,
+#: 21.6M) 3.1 s and 626 MB; the pair table is 13 MB on linear40.
+FLOOR_TABLE_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -335,8 +359,17 @@ _SEARCH_COPIES = 4
 
 @lru_cache(maxsize=None)
 def _pair_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
-    """table[q][u] = middle-summand bits of the class in Ext^1(q, u), else 0."""
+    """table[q][u] = middle-summand bits of the class in Ext^1(q, u), else 0.
+    Refuses before building anything when the floor tables built from it
+    would exceed FLOOR_TABLE_LIMIT entries."""
     _check_linear(A)
+    count = A.dimension  # the number of indecomposables, none built yet
+    chunks = -(-count // 8)
+    if 256 * count * chunks > FLOOR_TABLE_LIMIT:
+        raise RefusalError(
+            f"{count} indecomposables need closure floor tables of 256 * {count} * {chunks} "
+            f"= {256 * count * chunks:,} entries, above the limit of {FLOOR_TABLE_LIMIT:,}"
+        )
     indecs = indecomposables(A)
     index = indec_index(A)
     table: list[tuple[int, ...]] = []
@@ -413,17 +446,29 @@ def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _witness_table(A: Algebra) -> dict[int, set[tuple[int, int]]]:
+    """Per gap bit w, the (kernel, quotient) indecomposable masks of every
+    witness `_realizable` has found for w on A (module docstring)."""
+    return {}
+
+
+@lru_cache(maxsize=None)
 def star_mask(A: Algebra, left: int, right: int) -> int:
-    """Exact star on bitmasks: floor, then arbitrate the hull gap, refuting
-    by hom support before any witness search."""
+    """Exact star on bitmasks: floor, then arbitrate the hull gap.  A gap
+    bit is refuted by hom support, else set when a kept witness fits inside
+    (left, right), else decided by the witness search."""
     if left == 0 or right == 0:
         return left | right
     floor, hull = _star_hull(A, left, right)
     gap = hull & ~floor
     if gap:
         into, out = _hom_support(A)
+        witnesses = _witness_table(A)
         for k in _bits(gap):
-            if into[k] & left and out[k] & right and _realizable(A, left, right, k, hull):
+            if into[k] & left and out[k] & right and (
+                any(ker & ~left == 0 and quo & ~right == 0 for ker, quo in witnesses.get(k, ()))
+                or _realizable(A, left, right, k, hull)
+            ):
                 floor |= 1 << k
     return floor
 
@@ -631,6 +676,12 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
         enumerated once per sorted X and V whatever the left set
         (``_kernel_sets``): some g has ker g in add(left) iff some minimal
         set lies in the left set.
+
+    A realized bit adds the witness found, as the indecomposable masks of
+    that minimal set and of V's windows, to ``_witness_table(A)[w_idx]``,
+    from which ``star_mask`` decides later bits with no search.  The search
+    itself never reads the table, so its answer depends on its arguments
+    alone.
     """
     indecs = indecomposables(A)
     w = indecs[w_idx]
@@ -658,11 +709,24 @@ def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> boo
                 continue
             x_packed = _packed(X)
             for v_multi, v_packed in _quotients(right, X, x_packed, dim_x, guard):
-                if _left_feasible(x_packed - v_packed, left_at, guard, feas_memo) and any(
-                    k & ~left_mask == 0 for k in _kernel_sets(X, v_multi)
-                ):
-                    return True
+                if not _left_feasible(x_packed - v_packed, left_at, guard, feas_memo):
+                    continue
+                for k in _kernel_sets(X, v_multi):
+                    if k & ~left_mask == 0:
+                        kernel = [win for win in left_wins if _window_bit(*win) & k]
+                        witness = (_indec_mask(A, kernel), _indec_mask(A, v_multi))
+                        _witness_table(A).setdefault(w_idx, set()).add(witness)
+                        return True
     return False
+
+
+def _indec_mask(A: Algebra, windows) -> int:
+    """The indecomposable mask of the distinct windows [a, b] in windows."""
+    index = indec_index(A)
+    mask = 0
+    for a, b in windows:
+        mask |= 1 << index[Uniserial(a, b - a + 1)]
+    return mask
 
 
 def _walk(A: Algebra, t_mask: int):
@@ -861,6 +925,8 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
         bounds = [(A, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         times = set()
         witness = {}
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             for part_times, part_witness in pool.map(_scan_chunk, bounds):
                 times |= part_times

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,17 @@ def test_module_entry_point_runs_the_cli(capsys):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == run_cli(capsys, "algebra", "--algebra", LIN3)[1]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only a parallel spectrum scan starts a process pool, so the pool's
+    # import (multiprocessing, socket, pickle) waits for it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, orlov_kit.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_algebra_summary_cyclic(capsys):
@@ -179,6 +191,23 @@ def test_ospec_refusal_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "ospec", "--algebra", str(path))
     assert code == EXIT_REFUSAL
     assert out == "" and "refused" in err
+
+
+def test_closure_and_gentime_refuse_large_lines(capsys, tmp_path):
+    # The floor tables hold 256 * count * ceil(count / 8) entries: 107M on
+    # linear60 (1,830 indecomposables) and 12.9G on linear200 (20,100).  The
+    # refusal comes before either table is built; linear20 still runs.
+    for n, want in ((20, EXIT_OK), (60, EXIT_REFUSAL), (200, EXIT_REFUSAL)):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        for argv in (("closure", "--level", "2"), ("gentime",)):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, argv[0], "--algebra", str(path), "--gen", "1-1", *argv[1:])
+            assert code == want, (n, argv, err)
+            if want == EXIT_REFUSAL:
+                assert time.perf_counter() - start < 1.0, (n, argv)
+                assert out == "" and f"refused: {n * (n + 1) // 2} indecomposables" in err
+                assert "entries" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import itertools
 import json
@@ -446,7 +447,10 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
     # here from the GF(2) oracle, which shares no code with the closure's
     # hom table.  The bits searched must be exactly those (the recorder
     # answers "refuted" without searching), and every bit the rule refutes
-    # must be refuted by the search as well.
+    # must be refuted by the search as well.  A kept witness would set a bit
+    # with no search, so the witness tables start empty; the recorder keeps
+    # none.
+    closure._witness_table.cache_clear()
     rng = random.Random(20261022)
 
     def alg(n, rel=None):
@@ -486,6 +490,67 @@ def test_hom_support_rule_never_refutes_a_realized_bit(monkeypatch):
     assert kills[alg(4)] > 0, kills
     _realizable.cache_clear()
     _kernel_sets.cache_clear()
+
+
+def _clear_star_caches():
+    closure._witness_table.cache_clear()
+    star_mask.cache_clear()
+    _realizable.cache_clear()
+
+
+def test_witness_table_never_changes_a_decision():
+    # star with the witness table warmed by the spectrum scan (and by the
+    # searches below) against star with the table cleared before each call,
+    # on seeded pairs where the search refutes some gap bit the hom-support
+    # rule leaves.  The relation algebras' searches never realize, so their
+    # tables stay empty.  The counts make sure some refuted bit has a kept
+    # witness whose kernel fits in left (and one whose quotient fits in
+    # right): a lookup that skipped either test would set such a bit.
+    rng = random.Random(20261019)
+    algebras = [build_algebra(LINEAR, n, None) for n in (4, 5)]
+    algebras += [build_algebra(LINEAR, 4, Relation(*rel)) for rel in ((1, 2), (2, 2), (1, 3))]
+    kernel_fits = quotient_fits = 0
+    for A in algebras:
+        _clear_star_caches()
+        orlov_spectrum(A)
+        into, out = closure._hom_support(A)
+        full = 1 << len(indecomposables(A))
+        pairs = []
+        for _ in range(40):
+            left, right = rng.randrange(1, full), rng.randrange(1, full)
+            floor, hull = _star_hull(A, left, right)
+            searched = [w for w in _bits(hull & ~floor) if into[w] & left and out[w] & right]
+            refuted = [w for w in searched if not _realizable(A, left, right, w, hull)]
+            if refuted:
+                pairs.append((left, right))
+                table = closure._witness_table(A)
+                kernel_fits += any(k & ~left == 0 for w in refuted for k, _ in table.get(w, ()))
+                quotient_fits += any(v & ~right == 0 for w in refuted for _, v in table.get(w, ()))
+        assert pairs, A.kupisch
+        warm = [star_mask.__wrapped__(A, left, right) for left, right in pairs]
+        cold = []
+        for left, right in pairs:
+            closure._witness_table.cache_clear()
+            cold.append(star_mask.__wrapped__(A, left, right))
+        assert warm == cold, A.kupisch
+    assert kernel_fits and quotient_fits, (kernel_fits, quotient_fits)
+    _clear_star_caches()
+
+
+def test_witness_table_entries_are_witnesses(linear):
+    # After the linear5 scan every kept (w, k, v) is a witness in its own
+    # right: w lies in neither side, and a fresh search over (k, v), on an
+    # empty table, realizes it.
+    A = linear(5)
+    _clear_star_caches()
+    orlov_spectrum(A)
+    entries = [(w, k, v) for w, kept in closure._witness_table(A).items() for k, v in kept]
+    assert entries
+    for w, k, v in entries:
+        assert not (k | v) >> w & 1, (w, k, v)
+        _clear_star_caches()
+        assert _realizable(A, k, v, w, _star_hull(A, k, v)[1]), (w, k, v)
+    _clear_star_caches()
 
 
 def _reference_nullspace(rows: list[int], nvars: int) -> list[int]:
@@ -964,7 +1029,7 @@ def test_orlov_spectrum_pool_size_is_capped(linear, monkeypatch):
     # worker starts in this test.
     A = linear(5)
     serial = orlov_spectrum(A)
-    monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     for cpus, jobs, want in ((2, 3, [2]), (8, 3, [3]), (None, 64, []), (10**6, 10**5, [8192])):
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         _InlinePool.workers = []
@@ -979,7 +1044,7 @@ def test_orlov_spectrum_chunks_follow_started_workers(linear, monkeypatch):
     # per started worker, handed out by the pool.
     A = linear(5)
     serial = orlov_spectrum(A, jobs=1)
-    monkeypatch.setattr(closure, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _InlinePool.workers, _InlinePool.chunks = [], []
     result = orlov_spectrum(A, jobs=4096)
