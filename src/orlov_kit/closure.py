@@ -12,13 +12,13 @@ of direct sums can liberate summands that no single pair of uniserials
 produces, so star is computed exactly from two bounds and a search:
 
 * floor - members plus the middle summands of the pairwise nonzero classes
-  (merged window + overlap window); every floor bit is realizable.  It is
-  read from byte-chunked tables (`_floor_tables`): for each quotient q and
-  each 8-bit chunk c of the left mask, a 256-entry table holds the union of
-  the pair-table entries (q, 8c + u) over the bits u of the byte.  Built
-  once per algebra in count * ceil(count / 8) * 256 steps, they cost the
-  floor one lookup per (right bit, nonzero left byte).  Above
-  FLOOR_TABLE_LIMIT entries star is refused before any table is built.
+  (merged window + overlap window); every floor bit is realizable.  Only
+  about 15% of the (quotient, submodule) pairs have a nonzero class (15 of
+  100 on linear4, 70 of 441 on linear6), so `_ext_pairs` keeps, per
+  submodule u, just the quotients q with Ext^1(q, u) != 0 and their middle
+  bits, and the floor walks the left bits through those lists.  Above
+  PAIR_TABLE_LIMIT (quotient, submodule) pairs star is refused before the
+  table is built.
 * hull - star is monotone under sub-/quotient-closure of both sides, and on
   closed sides the floor is the whole answer, so star(L, R) lies in
   hull = floor(Sub L, Sub R) & floor(Fac L, Fac R).  The floor lies in the
@@ -187,13 +187,13 @@ from .nakayama import (
 #: 2 are forced simples: 2^19 closure runs, and beyond) behind --force.
 OSPEC_REFUSAL_LIMIT = 20
 
-#: refuse star, and so every closure level, when the floor tables would hold
-#: more than this many entries, 256 * count * ceil(count / 8) for count
-#: indecomposables.  Measured building them on one core: linear20 (210
-#: indecomposables, 1.5M entries) 0.2 s and +26 MB, linear26 (351, 4.0M)
-#: 0.7 s and +85 MB, linear32 (528, 8.9M) 2.1 s and +219 MB, linear40 (820,
-#: 21.6M) 3.1 s and 626 MB; the pair table is 13 MB on linear40.
-FLOOR_TABLE_LIMIT = 1 << 22
+#: refuse star, and so every closure level, when the ext-pair table would
+#: walk more than this many (quotient, submodule) pairs, count^2 for count
+#: indecomposables.  Measured building it on one core (2-vCPU Xeon VM,
+#: Python 3.11): linear26 (351 indecomposables, 123,201 pairs, 20,475 of
+#: them nonzero) 0.31 s and +3 MB, linear27 (378, 142,884) 0.34-0.39 s and
+#: +4 MB, linear40 (820, 672,400) 1.3-1.8 s and +24 MB.
+PAIR_TABLE_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -357,50 +357,35 @@ _SEARCH_PIECES = 4
 _SEARCH_COPIES = 4
 
 
-@lru_cache(maxsize=None)
-def _pair_table(A: Algebra) -> tuple[tuple[int, ...], ...]:
-    """table[q][u] = middle-summand bits of the class in Ext^1(q, u), else 0.
-    Refuses before building anything when the floor tables built from it
-    would exceed FLOOR_TABLE_LIMIT entries."""
-    _check_linear(A)
-    count = A.dimension  # the number of indecomposables, none built yet
-    chunks = -(-count // 8)
-    if 256 * count * chunks > FLOOR_TABLE_LIMIT:
+def _refuse_pair_table(count: int) -> None:
+    """Refuse star on count indecomposables when `_ext_pairs` would walk
+    more than PAIR_TABLE_LIMIT (quotient, submodule) pairs."""
+    if count * count > PAIR_TABLE_LIMIT:
         raise RefusalError(
-            f"{count} indecomposables need closure floor tables of 256 * {count} * {chunks} "
-            f"= {256 * count * chunks:,} entries, above the limit of {FLOOR_TABLE_LIMIT:,}"
+            f"{count} indecomposables make the ext-pair table check {count}^2 = {count * count:,} "
+            f"(quotient, submodule) entries, above the limit of {PAIR_TABLE_LIMIT:,}"
         )
+
+
+@lru_cache(maxsize=None)
+def _ext_pairs(A: Algebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """pairs[u] = ((bit of q, middle-summand bits), ...), one entry per
+    quotient q with Ext^1(q, u) != 0, in index order of q."""
+    _check_linear(A)
+    _refuse_pair_table(A.dimension)  # the number of indecomposables, none built yet
     indecs = indecomposables(A)
     index = indec_index(A)
-    table: list[tuple[int, ...]] = []
-    for v in indecs:  # quotient of the extension
-        row = [0] * len(indecs)
-        for ui, u in enumerate(indecs):  # submodule
-            if ext1_nonzero(A, quot=v, sub=u):
-                for w in middle_term(A, quot=v, sub=u).summands:
-                    row[ui] |= 1 << index[w]
-        table.append(tuple(row))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _floor_tables(A: Algebra) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """tables[q][c][byte] = union of _pair_table(A)[q][8c + u] over the bits
-    u of byte.  The last chunk's table stops at the last indecomposable, so
-    a left bit past it indexes out of range instead of being dropped."""
-    pair = _pair_table(A)
-    count = len(pair)
-    tables = []
-    for row in pair:
-        chunks = []
-        for base in range(0, count, 8):
-            table = [0] * (1 << min(8, count - base))
-            for byte in range(1, len(table)):
-                low = byte & -byte
-                table[byte] = table[byte ^ low] | row[base + low.bit_length() - 1]
-            chunks.append(tuple(table))
-        tables.append(tuple(chunks))
-    return tuple(tables)
+    pairs = []
+    for u in indecs:  # submodule
+        row = []
+        for qi, q in enumerate(indecs):  # quotient of the extension
+            if ext1_nonzero(A, quot=q, sub=u):
+                middle = 0
+                for w in middle_term(A, quot=q, sub=u).summands:
+                    middle |= 1 << index[w]
+                row.append((1 << qi, middle))
+        pairs.append(tuple(row))
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -419,16 +404,18 @@ def _hom_support(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _floor_mask(A: Algebra, left: int, right: int) -> int:
-    """Members plus pairwise middle summands: a realizable subset of star."""
-    tables = _floor_tables(A)
-    chunks = [(c, byte) for c, byte in enumerate(left.to_bytes(-(-left.bit_length() // 8), "little")) if byte]
+    """Members plus pairwise middle summands: a realizable subset of star.
+    Each left bit u adds the middles of its nonzero classes whose quotient
+    lies in right; a left bit past the last indecomposable raises
+    IndexError."""
+    pairs = _ext_pairs(A)
     out = left | right
-    while right:
-        low = right & -right
-        rows = tables[low.bit_length() - 1]
-        for c, byte in chunks:
-            out |= rows[c][byte]
-        right ^= low
+    while left:
+        low = left & -left
+        for q, middle in pairs[low.bit_length() - 1]:
+            if q & right:
+                out |= middle
+        left ^= low
     return out
 
 
@@ -438,7 +425,9 @@ def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
     the exact stars of the sub- and quotient-closures (their floors),
     intersected.  The module docstring proves floor ⊆ hull and that a
     stack-shape bound would cut nothing from it.  Bits of hull \\ floor are
-    exactly the ones needing witness arbitration.
+    exactly the ones needing witness arbitration.  The three floors each
+    walk the bits of their own left side, so the Sub and Fac floors, whose
+    left sides are closed, cost the most.
     """
     floor = _floor_mask(A, left, right)
     sub_floor = _floor_mask(A, _sub_mask(A, left), _sub_mask(A, right))
@@ -916,6 +905,7 @@ def orlov_spectrum(A: Algebra, force: bool = False, jobs: int = 1) -> OrlovResul
             f"{count} indecomposables, {forced} of them forced simples, "
             f"leave 2^{free} candidate subsets; pass force=True (CLI: --force) to run anyway"
         )
+    _refuse_pair_table(count)  # star's size rule, before any scan
     total = 1 << free
     workers = min(jobs, os.cpu_count() or 1) if total >= 1 << 12 else 1
     if workers == 1:

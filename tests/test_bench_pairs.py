@@ -34,6 +34,9 @@ def test_parse_run_refuses_a_bad_run():
             bench_pairs.parse_run(stdout)
 
 
+BOUNDS = {"wall_s": 0.25, "cpu_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.05}
+
+
 def test_summary_of_canned_pairs():
     parent_wall = [3.0, 2.0, 4.0, 2.8, 3.2]
     change_wall = [2.0, 2.1, 2.2, 1.9, 2.0]
@@ -43,7 +46,7 @@ def test_summary_of_canned_pairs():
          "change": bench_pairs.parse_run(_line(c, setup=0.1 + 0.01 * (i % 2), rss=23.0, attempted=40))}
         for i, (p, c) in enumerate(zip(parent_wall, change_wall))
     ]
-    got = bench_pairs.summarise(pairs)
+    got = bench_pairs.summarise(pairs, BOUNDS)
     assert got["pairs"] == 5
     assert got["failed"] == {"parent": 0, "change": 0}
     assert got["attempted"] == {"parent": 150, "change": 200}
@@ -52,17 +55,38 @@ def test_summary_of_canned_pairs():
         "change": {"median": 2.0, "q1": 2.0, "q3": 2.1},
         "change_better_pairs": 4,  # 2.1 against 2.0 loses
         "ratio_of_medians": 0.667,
+        "verdict": "not_worse",  # parent spread 0.4 / 3.0 is within 0.25
     }
     # equal runs are ties: they count for neither side
     assert got["cpu_s"]["change_better_pairs"] == 0 and got["cpu_s"]["ratio_of_medians"] == 1.0
     assert got["setup_s"]["change_better_pairs"] == 0
     assert got["peak_rss_mb"]["change_better_pairs"] == 5
+    assert {m: got[m]["verdict"] for m in bench_pairs.METRICS} == dict.fromkeys(bench_pairs.METRICS, "not_worse")
+
+
+def test_verdict_of_canned_series():
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02]
+    spread = [1.0, 2.0, 3.0, 4.0, 5.0]  # quartiles 2 and 4 over median 3
+    cases = [
+        (steady, [1.3, 1.2, 1.3, 1.4, 1.3], "worse"),  # median 1.3 > 1.0 * 1.25
+        (steady, [1.25, 1.2, 1.25, 1.3, 1.25], "not_worse"),  # at the bound, not above it
+        (steady, steady, "not_worse"),
+        (spread, [2.9, 3.0, 3.1, 3.0, 3.0], "unresolved"),
+        (spread, [0.5, 0.6, 0.7, 0.8, 0.99], "not_worse"),  # every change run beats every parent run
+        (spread, [0.5, 0.6, 0.7, 0.8, 1.0], "unresolved"),  # a tie with the best parent run is no win
+        (spread, [4.0, 4.0, 4.0, 4.0, 4.0], "worse"),  # worse is reported even where the spread is wide
+    ]
+    for parent, change, want in cases:
+        assert bench_pairs.verdict(parent, change, 0.25) == want, (parent, change)
+    # the bound is each metric's own: a 4% rise passes peak_rss_mb's 0.05, 6% does not
+    assert bench_pairs.verdict([100.0] * 4, [104.0] * 4, BOUNDS["peak_rss_mb"]) == "not_worse"
+    assert bench_pairs.verdict([100.0] * 4, [106.0] * 4, BOUNDS["peak_rss_mb"]) == "worse"
 
 
 def test_summary_needs_two_pairs():
     pair = {"parent": bench_pairs.parse_run(_line(1.0)), "change": bench_pairs.parse_run(_line(1.0))}
     with pytest.raises(bench_pairs.RunError):
-        bench_pairs.summarise([pair])
+        bench_pairs.summarise([pair], BOUNDS)
 
 
 def _traced(counts: dict, seconds: dict, correct=True) -> str:

@@ -191,13 +191,25 @@ def test_ospec_refusal_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "ospec", "--algebra", str(path))
     assert code == EXIT_REFUSAL
     assert out == "" and "refused" in err
+    # --force passes the subset-count rule but not star's size rule, which
+    # refuses before the scan starts; without --force the count rule speaks
+    for n in (27, 200):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ospec", "--algebra", str(path), "--force")
+        assert code == EXIT_REFUSAL and time.perf_counter() - start < 1.0, (n, err)
+        assert out == "" and f"refused: {n * (n + 1) // 2} indecomposables" in err and "entries" in err
+        code, out, err = run_cli(capsys, "ospec", "--algebra", str(path))
+        assert code == EXIT_REFUSAL and "candidate subsets" in err, (n, err)
 
 
 def test_closure_and_gentime_refuse_large_lines(capsys, tmp_path):
-    # The floor tables hold 256 * count * ceil(count / 8) entries: 107M on
-    # linear60 (1,830 indecomposables) and 12.9G on linear200 (20,100).  The
-    # refusal comes before either table is built; linear20 still runs.
-    for n, want in ((20, EXIT_OK), (60, EXIT_REFUSAL), (200, EXIT_REFUSAL)):
+    # The ext-pair table walks count^2 (quotient, submodule) pairs, with a
+    # limit of 2^17: linear26 (351 indecomposables, 123,201 pairs) runs and
+    # linear27 (378, 142,884) refuses, as do linear60 (1,830) and linear200
+    # (20,100).  The refusal comes before the table is built.
+    for n, want in ((20, EXIT_OK), (26, EXIT_OK), (27, EXIT_REFUSAL), (60, EXIT_REFUSAL), (200, EXIT_REFUSAL)):
         path = tmp_path / f"linear{n}.json"
         path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
         for argv in (("closure", "--level", "2"), ("gentime",)):

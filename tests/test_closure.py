@@ -57,6 +57,7 @@ from orlov_kit.closure import (
     _window_bit,
     star_mask,
 )
+from orlov_kit.homext import ext1_nonzero, middle_term
 from orlov_kit.nakayama import indec_index
 from orlov_kit.oracle import hom_space_dim, to_matrep
 
@@ -388,19 +389,21 @@ def test_hull_needs_no_ceiling(linear):
 
 
 def _reference_floor(A, left, right):
-    """The pairwise floor as a double walk over the bits of both sides."""
-    table = closure._pair_table(A)
+    """The pairwise floor as a double walk over the bits of both sides,
+    read from homext directly."""
+    indecs = indecomposables(A)
+    index = indec_index(A)
     out = left | right
     for q in _bits(right):
         for u in _bits(left):
-            out |= table[q][u]
+            if ext1_nonzero(A, quot=indecs[q], sub=indecs[u]):
+                for w in middle_term(A, quot=indecs[q], sub=indecs[u]).summands:
+                    out |= 1 << index[w]
     return out
 
 
-def test_floor_tables_match_pair_table_reference():
-    # Counts 3, 6, 10, 15 and 21: none is a multiple of 8, so each mask ends
-    # in a partial byte (after a full one for 10, 15, 21), and `top` sets
-    # that byte's highest bit.
+def test_floor_matches_ext_reference():
+    # Counts 3, 6, 10, 15 and 21; `top` is the last indecomposable's bit.
     rng = random.Random(20261019)
     algebras = [build_algebra(LINEAR, n, None) for n in range(2, 7)]
     algebras += [build_algebra(LINEAR, 4, Relation(*rel)) for rel in ((1, 2), (2, 2), (1, 3))]
@@ -417,7 +420,8 @@ def test_floor_tables_match_pair_table_reference():
             pairs += [(left, right), (left | top, right | top)]
         for left, right in pairs:
             assert _floor_mask(A, left, right) == _reference_floor(A, left, right), (A, left, right)
-        # a bit past the last indecomposable is refused, not dropped
+        # a left bit past the last indecomposable is refused, not dropped;
+        # out-of-range masks from outside are refused earlier, by IndecSet
         with pytest.raises(IndexError):
             _floor_mask(A, 1 << count, full)
 

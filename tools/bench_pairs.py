@@ -11,8 +11,16 @@ the change on odd i.  R is ``run_seconds`` from the change's
 
 The summary has each side's median, q1 and q3 (inclusive quartiles) of every
 end-to-end metric, the pairs the change won (lower is better for all of
-them, ties count for neither side), the ratio of the medians, and the
-``failed``/``attempted`` counts.  With ``--claim METRIC`` it becomes the
+them, ties count for neither side), the ratio of the medians, a verdict,
+and the ``failed``/``attempted`` counts.  The verdict applies the
+no-regression rule with each metric's ``bound`` from the change's
+``BENCHMARK.json``, a fraction of the parent's median:
+
+* ``worse`` - the change's median is above the parent's by more than the
+  bound;
+* ``unresolved`` - otherwise, when the parent's quartile distance over its
+  median exceeds the bound, unless every change run beats every parent run;
+* ``not_worse`` - neither.  With ``--claim METRIC`` it becomes the
 file's ``claim``, otherwise the workload's entry under ``no_regression``.
 The pairs are appended to the file's ``pairs``; an existing file keeps its
 other keys, so one file collects a claim and several no-regression series.
@@ -106,8 +114,20 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarise(pairs: list[dict]) -> dict:
-    """Per-side quartiles, change wins and median ratio of each metric."""
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The no-regression verdict of one metric (module docstring)."""
+    median = statistics.median(parent)
+    if statistics.median(change) > median * (1 + bound):
+        return "worse"
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 > bound * median and max(change) >= min(parent):
+        return "unresolved"
+    return "not_worse"
+
+
+def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Per-side quartiles, change wins, median ratio and verdict of each
+    metric; ``bounds`` maps each metric to its bound."""
     if len(pairs) < 2:
         raise RunError("a summary needs at least two pairs")
     out = {
@@ -123,6 +143,7 @@ def summarise(pairs: list[dict]) -> dict:
             "change": _quartiles(change),
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
             "ratio_of_medians": round(statistics.median(change) / statistics.median(parent), 3),
+            "verdict": verdict(parent, change, bounds[m]),
         }
     return out
 
@@ -172,7 +193,9 @@ def main(argv=None) -> int:
     if not (args.pairs or args.traced):
         parser.error("nothing to run: --pairs 0 needs --traced")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     pairs = []
     try:
         for i in range(args.pairs):
@@ -181,7 +204,7 @@ def main(argv=None) -> int:
             runs = {side: _run(checkouts[side], args.workload, seed, seconds) for side in order}
             pairs.append({"workload": args.workload, "seed": seed, "first": order[0], **runs})
             print(json.dumps(pairs[-1]), file=sys.stderr, flush=True)
-        summary = summarise(pairs) if pairs else None
+        summary = summarise(pairs, bounds) if pairs else None
         if args.traced:
             traced = {side: _run(checkouts[side], args.workload, args.seed, seconds, trace=1) for side in SIDES}
     except RunError as err:
