@@ -20,8 +20,10 @@ no-regression rule with each metric's ``bound`` from the change's
   bound;
 * ``unresolved`` - otherwise, when the parent's quartile distance over its
   median exceeds the bound, unless every change run beats every parent run;
-* ``not_worse`` - neither.  With ``--claim METRIC`` it becomes the
-file's ``claim``, otherwise the workload's entry under ``no_regression``.
+* ``not_worse`` - neither.
+
+With ``--claim METRIC`` the summary becomes the file's ``claim``, otherwise
+the workload's entry under ``no_regression``.
 The pairs are appended to the file's ``pairs``; an existing file keeps its
 other keys, so one file collects a claim and several no-regression series.
 
