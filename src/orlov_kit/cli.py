@@ -257,10 +257,10 @@ def _cmd_coghost_lemma(args) -> int:
     from .morphisms import coghost_lemma_check
 
     A = load_algebra(args.algebra)
-    count = len(indecomposables(A))
+    count = A.dimension  # one uniserial per (top, length): sum(kupisch)
     if count > 12:
         raise RefusalError(
-            f"{count} indecomposables means {(1 << count) - 1} generator subsets; "
+            f"{count} indecomposables means 2^{count} - 1 generator subsets; "
             "the lemma sweep is meant for desk-size algebras"
         )
     violations = []
@@ -321,7 +321,7 @@ def _fixture(name: str) -> Algebra:
     return load_algebra(_fixture_path(name))
 
 
-def _verify_checks(seed: int):
+def _verify_checks():
     """Yield (name, expected, actual) rows; equality decides pass/fail."""
     lin = {n: _fixture(f"linear{n}.json") for n in (2, 3, 4, 5)}
     lin3ab = _fixture("linear3_ab.json")
@@ -392,14 +392,8 @@ def _verify_checks(seed: int):
     nilp = radical_nilpotence_check(A4)
     yield ("4-step radical composites vanish on linear4", [], nilp["nonzero_composites"])
     yield ("longest nonzero radical chain on linear4", 3, nilp["longest_nonzero"])
-    random_nilp = radical_nilpotence_check(
-        build_algebra("linear", 6, None), chains=2000, seed=seed
-    )
-    yield (
-        "randomized 6-step radical composites vanish on linear6",
-        [],
-        random_nilp["nonzero_composites"],
-    )
+    nilp6 = radical_nilpotence_check(build_algebra("linear", 6, None))
+    yield ("6-step radical composites vanish on linear6", [], nilp6["nonzero_composites"])
 
     for n, m in ((5, 3), (6, 2), (6, 4)):
         report = oriented_cycle_report(n, m)
@@ -417,7 +411,7 @@ def _verify_checks(seed: int):
 def _cmd_verify(args) -> int:
     failures = 0
     rows = []
-    for name, expected, actual in _verify_checks(args.seed):
+    for name, expected, actual in _verify_checks():
         ok = expected == actual
         failures += not ok
         rows.append(
@@ -509,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most distinct summands of a star-sweep end")
 
     p = sub.add_parser("verify", help="replay the bundled reference-value table")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized rows")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="echoed in the output; no row depends on it")
 
     return parser
 

@@ -281,6 +281,19 @@ def test_coghost_lemma_refuses_large(capsys):
     assert code == EXIT_REFUSAL and "refused" in err
 
 
+def test_coghost_lemma_refuses_long_lines_fast(capsys, tmp_path):
+    # the subset count 2^count - 1 is stated, not computed: in decimal it
+    # would pass Python's 4,300-digit limit on linear200 (20,100 members)
+    for n in (200, 2000):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coghost-lemma", "--algebra", str(path))
+        assert code == EXIT_REFUSAL and time.perf_counter() - start < 1.0, (n, err)
+        count = n * (n + 1) // 2
+        assert out == "" and f"refused: {count} indecomposables means 2^{count} - 1 generator subsets" in err
+
+
 def test_arquiver_dot_snapshot(capsys):
     code, out, _ = run_cli(capsys, "arquiver", "--algebra", LIN2, "--dot")
     assert code == EXIT_OK
@@ -364,10 +377,17 @@ def test_verify_table_passes_and_is_deterministic(capsys):
 
 
 def test_verify_table_at_a_second_seed(capsys):
-    # the seed drives the random radical chains on linear6
     code, out, _ = run_cli(capsys, "verify", "--seed", "5")
     assert code == EXIT_OK
     assert out == golden("verify_seed5.json")
+
+
+def test_verify_seed_is_only_echoed(capsys):
+    # no row depends on --seed; it is kept because callers pass it
+    default = json.loads(run_cli(capsys, "verify")[1])
+    seeded = json.loads(run_cli(capsys, "verify", "--seed", "5")[1])
+    assert (default.pop("seed"), seeded.pop("seed")) == (DEFAULT_SEED, 5)
+    assert seeded == default
 
 
 # ---------------------------------------------------------------------------
