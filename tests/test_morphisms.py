@@ -122,18 +122,18 @@ def _vertex_matrices(f: Morphism, n: int) -> dict:
     """f as a map of representations: vertex v -> the matrix of f at v, rows
     by target summand, columns by source summand.  A basis map [a,b] -> [c,d]
     is the identity at each vertex of the overlap and zero elsewhere."""
-    out = {}
-    for v in range(1, n + 1):
-        out[v] = [
-            [
-                f.entry(s, t)
-                if max(_window(x)[0], _window(y)[0]) <= v <= min(_window(x)[1], _window(y)[1])
-                else 0
-                for s, x in enumerate(f.source)
-            ]
+
+    def in_overlap(v, x, y):
+        (a, b), (c, d) = _window(x), _window(y)
+        return max(a, c) <= v <= min(b, d)
+
+    return {
+        v: [
+            [f.entry(s, t) if in_overlap(v, x, y) else 0 for s, x in enumerate(f.source)]
             for t, y in enumerate(f.target)
         ]
-    return out
+        for v in range(1, n + 1)
+    }
 
 
 def _reference_compose(g: Morphism, f: Morphism, n: int) -> tuple[dict, tuple]:
