@@ -9,7 +9,8 @@ algebra's indecomposable list.  The one-step closure of two classes is
 
 (split extensions included, so members of either side stay in).  Extensions
 of direct sums can liberate summands that no single pair of uniserials
-produces, so star is computed exactly from two bounds and a search:
+produces, so star is computed exactly from two bounds and one decision per
+bit between them:
 
 * floor - members plus the middle summands of the pairwise nonzero classes
   (merged window + overlap window); every floor bit is realizable.  Only
@@ -30,87 +31,91 @@ produces, so star is computed exactly from two bounds and a search:
   a < c <= b + 1 <= d <= a + c_a - 1 and middle M[a, d] + M[c, b]; M[c, b]
   is a tail of q, and M[a, d] stacks q on [b + 1, d], a tail of u as
   c <= b + 1, which fits as d - b <= c_a - (b - a + 1).
-* hom support - a summand of a middle that is in neither side receives a
-  nonzero map from the left side and sends one to the right side.  Take
-  0 -> U -> E -> V -> 0 with U in add(left), V in add(right), and W an
-  indecomposable summand of E with projection p: E -> W and inclusion
-  i: W -> E, p i = id.  Let g: E -> V be the quotient map.  If W is not in
-  add(right) and every map from a summand of U to W is zero, p kills
-  U = ker g, so p = q g for some q: V -> W; then q (g i) = id, so W is a
-  summand of V, hence in add(right) by Krull-Schmidt: a contradiction.
-  Dually, if W is not in add(left) and every map from W to a summand of V
-  is zero, g i = 0, so i lands in U and W is a summand of U.  The proof
-  uses only exactness and Krull-Schmidt, so it holds with relations too.
-  The floor contains left | right, so no gap bit lies in either side, and
-  a gap bit w with no u in left having Hom(u, w) != 0, or no v in right
-  having Hom(w, v) != 0, is refuted with no search.  `_hom_support` holds
-  the two masks per w, from the line's rule Hom([a, b], [c, d]) != 0 iff
-  c <= a <= d <= b.
-* witness table - each witness the search below finds is kept per algebra
-  (`_witness_table`): under gap bit w, the pair (k, v) of indecomposable
-  masks of the windows of ker g (a minimal kernel window set, rule d) and of
-  the quotient V.  A later gap bit w of (left, right) is set with no search
-  when some kept (k, v) has k ⊆ left and v ⊆ right.  This is exact: the kept
-  sequence 0 -> ker g -> X -> V -> 0 has ker g in add(k) ⊆ add(left) and V
-  in add(v) ⊆ add(right), so it is itself a witness for (left, right).  It
-  also lies inside the search's horizon for (left, right).  The search met
-  (X, V) as a candidate, and its conditions on a candidate depend on X and
-  V alone (shape caps, dimensions, rule b) except for three, which hold
-  here: the summands of X lie in star(k, v) ⊆ star(left, right) ⊆ hull;
-  the windows of V lie in v ⊆ right; and ker g, a sum of windows of k,
-  makes the dimension vector of X minus V's a sum of left windows, while
-  k, a minimal kernel set of (X, V) inside the left set, passes rule (d).
-  So the search would return True as well, and every decision is the one
-  the search makes.
-* gap bits (hull minus floor) that the hom-support rule leaves are decided
-  one by one by an explicit witness search over F2 (`_realizable`),
-  memoised per (left, right, bit).  Four exact rules bound its work per
-  candidate.  Hom spaces between windows are at most one-dimensional, so a
-  map g: X -> V is a 0/1 combination of the canonical maps X_i -> V_j, one
-  bitmask C_i per summand X_i = [a_i, b_i]: the copies V_j = [c_j, d_j] it
-  maps to, a submask of allowed_i = {j : c_j <= a_i <= d_j <= b_i}.
-  (a) quotient multisets grow only while their dimension vector stays under
-      the middle's and their dimension below it; both conditions are
-      monotone in the multiset, so pruning at a prefix loses no candidate;
-  (b) g is onto iff it is onto on tops (Nakayama's lemma), a rank test on
-      the maps between windows with a common top vertex: g is onto iff the
-      C_i & top_i have rank |V| over F2, where top_i = {j in allowed_i :
-      c_j = a_i}.  A nonzero map [a, b] -> [c, d] needs c <= a <= d <= b,
-      and its image [a, d] holds the top of [c, d] only when a = c.  So if
-      no window [a, b] of X has a = c and d <= b, every g maps X into
-      rad [c, d] plus the other copies, no g is onto, and every multiset
-      holding [c, d] is refuted.  Such windows are dropped from the quotient
-      alphabet before (a) walks it; (a)'s conditions concern only the
-      windows kept, so its pruning stays exact;
-  (c) the kernel windows come from nullity increments, with no nullspace
-      vectors.  The canonical map [a_i, b_i] -> [c_j, d_j] is nonzero
-      exactly at the vertices of [a_i, d_j], so at a vertex v in X_i the
-      column of g_v at X_i is C_i & D_v, with D_v = {j : d_j >= v}.  Let
-      N_v(b) be the nullity of g_v restricted to the windows of X that
-      contain v and end before b.  For v <= b the structure map X_v -> X_b
-      kills exactly those windows and is injective on the others, so the
-      kernel of K_v -> X_b (K = ker g) is the nullspace of that restriction
-      and rank(K_v -> X_b) = N_v(inf) - N_v(b).  K is a sum of windows and
-      K_b lies in X_b, so that rank counts the windows of K with top <= v
-      and end >= b.  Inclusion-exclusion over top <= a versus top <= a - 1
-      and end >= b versus end >= b + 1 gives the multiplicity of [a, b] in
-      K; the N_v(inf) terms cancel, leaving
-      mult[a, b] = dN_a(b) - dN_{a-1}(b), with dN_v(b) = N_v(b+1) - N_v(b).
-      Eliminating the columns of the windows at v in order of end, the
-      nullity of the windows ending before b is the number of columns among
-      them that depend on earlier ones, so dN_v(b) is the number of
-      dependent columns among the windows ending at b: one incremental
-      elimination per vertex yields every dN_v;
-  (d) whether a surjection g: X -> V with ker g in add(left) exists depends
-      only on the multisets X and V and on the left set: the maps g are the
-      same for any order of the summands, and left enters only through the
-      test "the window set of ker g lies in the left set".  Every window
-      set contains one that is minimal under inclusion among those of the
-      onto g, and each minimal set is some g's, so the test passes for some
-      g iff some minimal set lies in the left set.  The minimal sets of
-      (X, V) are enumerated once (`_kernel_sets`) for every left set.  X has
-      at most _SEARCH_PIECES summands and V at most _SEARCH_COPIES, so the
-      enumeration runs over at most 16 canonical maps and needs no cap.
+* reduced ends - each gap bit (hull minus floor) is decided exactly by one
+  lemma that bounds both ends of the extensions that can realize it.
+
+  Lemma.  Let W be indecomposable and in neither side.  Let U* be the sum
+  of the u in left with Hom(u, W) != 0, and V* the sum of the v in right
+  with Hom(W, v) != 0, each taken once.  Then W is in star(left, right) iff
+  W is a summand of the middle of some extension 0 -> U* -> E -> V* -> 0.
+
+  Proof.  "If" holds as U* is in add(left) and V* in add(right).  For "only
+  if", take 0 -> U -f-> E -g-> V -> 0 with U in add(left), V in add(right),
+  and W a summand of E by i: W -> E and p: E -> W with p i = 1.
+  1. Hom spaces between windows are at most one-dimensional.  So for each
+     indecomposable v with m copies in V, the components of g i on those
+     copies are (l_1 h, ..., l_m h) for one map h: W -> v and scalars l_k.
+     An automorphism of v^m sends a nonzero (l_1, ..., l_m) to
+     (1, 0, ..., 0).  Composing g with such automorphisms of V changes
+     neither E nor exactness.  Then g i meets at most one copy of each v,
+     and only v with Hom(W, v) != 0.  Let V_S be the sum of the copies it
+     meets: V = V_S + V_R, and V_S is a summand of V*.
+  2. Pull back along the inclusion V_S -> V: E' = g^-1(V_S) sits in
+     0 -> U -> E' -> V_S -> 0.  i lands in E', as g i lands in V_S, and p
+     restricted to E' still splits it, so W is a summand of E'.
+  3. Dually, compose f with automorphisms of U so that p f meets at most
+     one copy of each u, and only u with Hom(u, W) != 0.  Then U = U_S + U_R
+     with p f zero on U_R, and U_S is a summand of U*.  Push out along the
+     projection U -> U_S: E'' = E' / f(U_R) sits in
+     0 -> U_S -> E'' -> V_S -> 0.  p kills f(U_R), so it factors through
+     E'', and W is a summand of E''.
+  4. Write U* = U_S + U_c and V* = V_S + V_c.  Adding the split sequence
+     0 -> U_c -> U_c + V_c -> V_c -> 0 gives ends U* and V* and the middle
+     E'' + U_c + V_c, of which W is a summand.
+  Pullbacks and pushouts of extensions are as in Auslander, Reiten and
+  Smalø, Representation Theory of Artin Algebras, ch. I.  The proof uses
+  exactness, Krull-Schmidt and thin hom spaces only, so it holds with
+  relations too.  When U* or V* is 0 every such extension splits, its
+  middle U* + V* has no summand W by Krull-Schmidt, and W is refuted: this
+  is the hom-support rule.  `star_mask` reads U* = into[w] & left and
+  V* = out[w] & right from `_hom_support`, which holds the line's rule
+  Hom([a, b], [c, d]) != 0 iff c <= a <= d <= b.  It asks `_realizable`
+  only when both are nonzero, and `_realizable` is memoised on (w, U*, V*),
+  so one decision serves every (left, right) with the same reduced ends.
+  On the linear6 scan the 29,580 decisions have 1,436 distinct keys.
+* classes - both ends are multiplicity-free, so Ext^1(V*, U*) is the sum of
+  the Ext^1(v, u) over the p pairs that `_ext_pairs` lists, each of
+  dimension one.  For v = [e, f] and u = [g, d] the class exists iff
+  e < g <= f + 1 <= d <= e + c_e - 1 (`homext.ext1_nonzero`).  Its gluing
+  bit is the representation on u + v that adds, on the arrow f -> f + 1,
+  the map sending v's basis vector at f to u's basis vector at f + 1.  It is
+  a module: the only paths it makes nonzero run from a vertex s of [e, f]
+  to a vertex t of [f + 1, d], and t - s <= e + c_e - 1 - s < c_s, as
+  c_s >= c_e - (s - e) along a line; so the relation (d <= e + c_e - 1) is
+  what keeps every path of length c_s zero.  u is a submodule with quotient
+  v, so it is an extension, and it does not split: the path map from e to
+  d is nonzero on it (v's vector at e reaches u's at d) but zero on u + v,
+  where no window holds both e and d.  So the gluing bit is a cocycle whose
+  class is nonzero, and it spans the one-dimensional Ext^1(v, u).  Connecting
+  data add up blockwise over the pairs, so over F2 the classes of
+  Ext^1(V*, U*) are the 2^p patterns of gluing bits, the zero one split.
+* multiplicity - a pattern's middle E is a representation of the line, so a
+  sum of windows.  The path map from vertex i to vertex j >= i has rank
+  r(i, j) = the number of windows [s, t] of E with s <= i and t >= j
+  (dim E_i when i = j, 0 when i or j is off the line), so by
+  inclusion-exclusion [a, b] has multiplicity
+  r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1).  On the basis of u + v a
+  vector of a window holding i and j goes to that window's vector at j; the
+  vector of v = [e, f] at i, when f < j, goes through the gluing bits of v
+  to the glued u holding j.  A u holding i and j is a pivot row, so r(i, j)
+  is the number of windows of U* and V* holding i and j plus the rank of
+  the v rows over the u that hold j but not i.  The counts add up to the
+  multiplicity of [a, b] in U* + V*, which is 0 as w lies in neither side,
+  so `_realizable` sums the four ranks of gluing rows alone.
+* cost - a realized bit stops at the first pattern with a positive
+  multiplicity; a refutation walks all 2^p - 1 nonzero patterns, each four
+  ranks of at most |V*| rows.  The patterns go in Gray-code order, so each
+  step flips one gluing bit in each row set.  On seeded pairs p reached 11
+  on linear6 (at most 3 ms a bit) and 16 on linear7, where one refutation
+  took 0.7 s (2-vCPU Xeon VM, Python 3.11).  On linear5, w = M[2,4] (bit 7)
+  under (0x535d, 0x7a32) has reduced ends of two windows each and p = 1.
+* field - the engine computes over F2, as the oracle does: a class is a 0/1
+  pattern.  Over a larger field a class carries one scalar per pair, and
+  when the pairs form a cycle a ratio of them cannot be rescaled away.
+  `test_realizable_matches_gf3_classes` decides each bit again with classes
+  in {0, 1, 2}^p and ranks over GF(3); it agrees with F2 on seeded pairs of
+  the hereditary lines and of relation algebras.  That is evidence, not a
+  proof, that the answers do not depend on the field.
 
 Levels are the chain [T]_1 = add T, [T]_k = star([T]_1, [T]_{k-1}), which is
 monotone and stabilises after at most #indecomposables steps.  One walk
@@ -148,17 +153,13 @@ the reversal fixes), D is an exact contravariant involution of mod A.
    reads one subset at a time, so it does not depend on how the subsets
    are cut into chunks for ``jobs``.
 
-On relation algebras the engine refutes gap bits by the capped search of
-`_realizable`, which caps quotient copies but not submodule copies, a
-shape that D does not preserve.  There the engine's answers are
-D-invariant only as far as that search is complete (ROADMAP item 5);
-`test_scan_duality_skip_is_exact` pins gt(T) = gt(DT) on every subset of
-linear4 with relation (1,3).
+Every star decision is exact, relations included, so the skip holds on
+every algebra with a `_dual_table`; `test_scan_duality_skip_is_exact` pins
+gt(T) = gt(DT) on every subset of linear4 with relation (1,3).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -343,20 +344,6 @@ def fac_closure(A: Algebra, T: IndecSet) -> IndecSet:
 # ---------------------------------------------------------------------------
 
 
-#: Ambient dimension horizon for gap-bit witness searches.  A gap bit counts
-#: as a star member only on an explicit extension witness of total dimension
-#: at most this; the pairwise floor needs no witness, so the horizon only
-#: limits how baroque a liberating direct-sum extension may get.  The full
-#: horizon is this dimension, _SEARCH_PIECES summands of the middle and
-#: _SEARCH_COPIES summands of its quotient.  These two also bound the
-#: canonical maps of a surjection search by their product, 16.
-STAR_SEARCH_DIM = 12
-
-#: Witness shape caps: summands of the searched middle / of its quotient.
-_SEARCH_PIECES = 4
-_SEARCH_COPIES = 4
-
-
 def _refuse_pair_table(count: int) -> None:
     """Refuse star on count indecomposables when `_ext_pairs` would walk
     more than PAIR_TABLE_LIMIT (quotient, submodule) pairs."""
@@ -425,7 +412,7 @@ def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
     the exact stars of the sub- and quotient-closures (their floors),
     intersected.  The module docstring proves floor ⊆ hull and that a
     stack-shape bound would cut nothing from it.  Bits of hull \\ floor are
-    exactly the ones needing witness arbitration.  The three floors each
+    exactly the ones `_realizable` may have to decide.  The three floors each
     walk the bits of their own left side, so the Sub and Fac floors, whose
     left sides are closed, cost the most.
     """
@@ -435,29 +422,20 @@ def _star_hull(A: Algebra, left: int, right: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _witness_table(A: Algebra) -> dict[int, set[tuple[int, int]]]:
-    """Per gap bit w, the (kernel, quotient) indecomposable masks of every
-    witness `_realizable` has found for w on A (module docstring)."""
-    return {}
-
-
-@lru_cache(maxsize=None)
 def star_mask(A: Algebra, left: int, right: int) -> int:
     """Exact star on bitmasks: floor, then arbitrate the hull gap.  A gap
-    bit is refuted by hom support, else set when a kept witness fits inside
-    (left, right), else decided by the witness search."""
+    bit w is set iff its reduced ends U* = into[w] & left and
+    V* = out[w] & right are both nonzero and `_realizable` finds w in a
+    middle of Ext^1(V*, U*) (module docstring)."""
     if left == 0 or right == 0:
         return left | right
     floor, hull = _star_hull(A, left, right)
     gap = hull & ~floor
     if gap:
         into, out = _hom_support(A)
-        witnesses = _witness_table(A)
         for k in _bits(gap):
-            if into[k] & left and out[k] & right and (
-                any(ker & ~left == 0 and quo & ~right == 0 for ker, quo in witnesses.get(k, ()))
-                or _realizable(A, left, right, k, hull)
-            ):
+            u_star, v_star = into[k] & left, out[k] & right
+            if u_star and v_star and _realizable(A, k, u_star, v_star):
                 floor |= 1 << k
     return floor
 
@@ -470,7 +448,7 @@ def star(A: Algebra, left: IndecSet, right: IndecSet) -> IndecSet:
 
 
 # ---------------------------------------------------------------------------
-# gap arbitration: explicit witness search over F2
+# gap arbitration: the classes of Ext^1(V*, U*) over F2
 # ---------------------------------------------------------------------------
 
 
@@ -486,236 +464,51 @@ def _rank_f2(rows) -> int:
     return rank
 
 
-#: Dimension vectors are packed one field per vertex.  A dimension vector
-#: under a middle's has fields <= STAR_SEARCH_DIM, one window more adds at
-#: most 1, and the field's top bit stays clear as a guard for domination.
-_FIELD = (STAR_SEARCH_DIM + 1).bit_length() + 1
-
-
-def _packed(windows) -> int:
-    """Packed dimension vector of a direct sum of windows."""
-    return sum(1 << _FIELD * (v - 1) for a, b in windows for v in range(a, b + 1))
-
-
-def _fits(small: int, big: int, guard: int) -> bool:
-    """Componentwise small <= big for packed vectors; guard has every field's
-    guard bit.  No field borrows, so a cleared guard bit marks a shortfall."""
-    return ((big | guard) - small) & guard == guard
-
-
-def _left_feasible(u: int, left_at: dict[int, list[int]], guard: int, memo: dict) -> bool:
-    """Whether the packed vector u is a sum of left windows: the lowest vertex
-    of u must be the top of one of them, and the rest must be feasible."""
-    if not u:
-        return True
-    if u in memo:
-        return memo[u]
-    pos = ((u & -u).bit_length() - 1) // _FIELD
-    ok = any(_fits(w, u, guard) and _left_feasible(u - w, left_at, guard, memo) for w in left_at.get(pos, ()))
-    memo[u] = ok
-    return ok
-
-
-def _quotients(right, X, x_packed: int, dim_x: int, guard: int):
-    """Yield (multiset, packed vector) for multisets of 1.._SEARCH_COPIES
-    right windows whose vector is <= X's and whose dimension is < dim X, by
-    size, then in combinations_with_replacement order.  ``right`` holds
-    (window, packed, dimension) sorted by window.  Both conditions only fail
-    more as windows are added, so a multiset is extended only while it fits.
-    Only the right windows [c, d] covered from the top by a window [a, b] of
-    X (a = c, d <= b) are used: no map from X is onto any other (rule b).
-    """
-    right = [r for r in right if any(a == r[0][0] and r[0][1] <= b for a, b in X)]
-    level = [((), 0, 0, 0)]
-    for _ in range(_SEARCH_COPIES):
-        grown = []
-        for multi, packed, dim, first in level:
-            for t in range(first, len(right)):
-                win, w_packed, w_dim = right[t]
-                p = packed + w_packed
-                if dim + w_dim < dim_x and _fits(p, x_packed, guard):
-                    grown.append((multi + (win,), p, dim + w_dim, t))
-        yield from ((multi, packed) for multi, packed, _, _ in grown)
-        level = grown
-
-
-def _window_bit(a: int, b: int) -> int:
-    """The bit of window [a, b] in a kernel-set mask.  b(b+1)/2 + a is
-    injective on 1 <= a <= b, whatever the number of vertices."""
-    return 1 << (b * (b + 1) // 2 + a)
-
-
-def _map_plan(X, Vc):
-    """(allowed, top, vertices) for the maps g: X -> Vc written as one
-    bitmask C_i of copies per summand X_i (module docstring, rules b, c).
-
-    allowed[i] and top[i] are the copies X_i may map to and those sharing
-    its top vertex.  vertices holds, for each vertex v from the lowest top
-    of X to its highest end, D_v and the windows of X containing v grouped
-    by end, ascending, as (end, bit of the window [v, end], summands).
-    """
-    allowed, top = [], []
-    for a, b in X:
-        m = t = 0
-        for j, (c, d) in enumerate(Vc):
-            if c <= a <= d <= b:
-                m |= 1 << j
-                if c == a:
-                    t |= 1 << j
-        allowed.append(m)
-        top.append(t)
-    vertices = []
-    for v in range(min(a for a, _ in X), max(b for _, b in X) + 1):
-        d_v = 0
-        for j, (_, d) in enumerate(Vc):
-            if d >= v:
-                d_v |= 1 << j
-        by_end: dict[int, list[int]] = {}
-        for i, (a, b) in enumerate(X):
-            if a <= v <= b:
-                by_end.setdefault(b, []).append(i)
-        vertices.append((d_v, tuple((e, _window_bit(v, e), tuple(by_end[e])) for e in sorted(by_end))))
-    return tuple(allowed), tuple(top), tuple(vertices)
-
-
-def _kernel_mask(vertices, C) -> int:
-    """The ``_window_bit``s of the windows of ker g, for g given by C
-    (rule c): [v, b] is a window iff dN_v(b) > dN_{v-1}(b)."""
-    mask = 0
-    below: dict[int, int] = {}  # dN_{v-1}
-    for d_v, groups in vertices:
-        basis: list[int] = []
-        here: dict[int, int] = {}
-        for end, bit, summands in groups:
-            dependent = 0
-            for i in summands:
-                col = C[i] & d_v
-                for e in basis:
-                    if col ^ e < col:
-                        col ^= e
-                if col:
-                    basis.append(col)
-                else:
-                    dependent += 1
-            if dependent:
-                here[end] = dependent
-                if dependent > below.get(end, 0):
-                    mask |= bit
-        below = here
-    return mask
-
-
-def _submasks(mask: int) -> list[int]:
-    """Every submask of mask, largest first."""
-    out = [mask]
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        out.append(sub)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _kernel_sets(X, Vc) -> tuple[int, ...]:
-    """The inclusion-minimal window sets of ker g over all surjections
-    g: X -> Vc, as masks of ``_window_bit``s (rule d).
+def _realizable(A: Algebra, w_idx: int, u_mask: int, v_mask: int) -> bool:
+    """Decide one gap bit: is indec ``w_idx``, a member of neither side, a
+    summand of the middle of some class in Ext^1(V*, U*)?  U* and V* are the
+    multiplicity-free sums of the members of ``u_mask`` and ``v_mask``, the
+    reduced ends that `star_mask` passes, so one decision serves every
+    (left, right) with the same reduced ends.
 
-    The top parts of C decide surjectivity (rule b), so they are chosen
-    first and the rest only for a choice that is onto.
-    """
-    allowed, top, vertices = _map_plan(X, Vc)
-    rest_choices = [_submasks(m & ~t) for m, t in zip(allowed, top)]
-    found: set[int] = set()
-    for tops in itertools.product(*map(_submasks, top)):
-        if _rank_f2(tops) != len(Vc):
-            continue
-        for rests in itertools.product(*rest_choices):
-            found.add(_kernel_mask(vertices, [t | r for t, r in zip(tops, rests)]))
-    return tuple(sorted(k for k in found if not any(m != k and m & ~k == 0 for m in found)))
-
-
-@lru_cache(maxsize=None)
-def _realizable(A: Algebra, left: int, right: int, w_idx: int, hull: int) -> bool:
-    """Decide one gap bit: is indec ``w_idx`` a summand of the middle of some
-    0 -> U -> X -> V -> 0  with U in add(left), V in add(right) and
-    dim X <= STAR_SEARCH_DIM?  ``hull`` is ``_star_hull(A, left, right)[1]``,
-    which the caller already holds.
-
-    Candidate middles are the gap window plus pieces from the hull; quotient
-    candidates are multisets of right windows dominated by the middle's
-    dimension vector whose complement is assemblable from left windows.  Each
-    surviving pair goes to the F2 surjection search.  Four exact rules keep
-    the work per candidate small (proofs in the module docstring):
-
-    (a) ``_quotients`` extends a multiset only while it fits under X: adding
-        a window never shrinks a dimension vector or a dimension, so a prefix
-        that does not fit has no extension that fits.
-    (b) surjectivity is decided on tops before any kernel is built:
-        g(X) + rad V = V forces g(X) = V (Nakayama's lemma).  A nonzero map
-        [a, b] -> [c, d] needs c <= a <= d <= b, and its image [a, d] holds
-        the top of [c, d] only if a = c.  So ``_quotients`` first drops every
-        right window [c, d] with no window [a, b] of X such that a = c and
-        d <= b: no g is onto a multiset holding it.  (a) prunes the windows
-        kept by conditions on them alone, so it stays exact.
-    (c) ``_kernel_mask`` reads the kernel windows of a map from one
-        incremental elimination per vertex, taking the windows of X in order
-        of end: [a, b] is a kernel window iff more columns of windows ending
-        at b are dependent at a than at a - 1.
-    (d) the answer comes from the minimal kernel window sets of (X, V),
-        enumerated once per sorted X and V whatever the left set
-        (``_kernel_sets``): some g has ker g in add(left) iff some minimal
-        set lies in the left set.
-
-    A realized bit adds the witness found, as the indecomposable masks of
-    that minimal set and of V's windows, to ``_witness_table(A)[w_idx]``,
-    from which ``star_mask`` decides later bits with no search.  The search
-    itself never reads the table, so its answer depends on its arguments
-    alone.
+    The classes are the 0/1 patterns over the p pairs (v, u) with
+    Ext^1(v, u) != 0, one gluing bit per pair on the arrow out of v's end.
+    w = [a, b] is a summand of a pattern's middle E iff
+    r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1) > 0, with r(i, j) the rank
+    of E's path map from vertex i to vertex j.  Each r(i, j) is the number
+    of windows of U* and V* holding both i and j, which cancels in the sum
+    as w is in neither end, plus the rank of the gluing rows: the row of v
+    holds the u whose bit the pattern sets and whose window holds j but not
+    i, when the path crosses v's gluing arrow f -> f + 1 (v holds i and
+    f < j).  The patterns are walked in Gray-code order, one gluing bit
+    flipped per step, and the first with a positive multiplicity realizes
+    w.  A refutation costs 2^p - 1 patterns times four ranks of at most
+    |V*| rows (module docstring).
     """
     indecs = indecomposables(A)
     w = indecs[w_idx]
-    w_win = (w.top_vertex, w.top_vertex + w.length - 1)
-    if not hull >> w_idx & 1:
-        return False
-
-    def windows(mask: int):
-        return sorted((u.top_vertex, u.top_vertex + u.length - 1) for u in (indecs[k] for k in _bits(mask)))
-
-    pieces = windows(hull)
-    left_wins = windows(left)
-    left_mask = sum(_window_bit(a, b) for a, b in left_wins)  # distinct windows
-    left_at: dict[int, list[int]] = {}  # packed left windows by top field
-    for win in left_wins:
-        left_at.setdefault(win[0] - 1, []).append(_packed([win]))
-    right = [(win, _packed([win]), win[1] - win[0] + 1) for win in windows(right)]
-    guard = _packed([(1, A.n)]) << _FIELD - 1
-    feas_memo: dict = {}
-    for extra in range(_SEARCH_PIECES):
-        for combo in itertools.combinations_with_replacement(pieces, extra):
-            X = tuple(sorted((w_win, *combo)))
-            dim_x = sum(b - a + 1 for a, b in X)
-            if dim_x > STAR_SEARCH_DIM:
-                continue
-            x_packed = _packed(X)
-            for v_multi, v_packed in _quotients(right, X, x_packed, dim_x, guard):
-                if not _left_feasible(x_packed - v_packed, left_at, guard, feas_memo):
-                    continue
-                for k in _kernel_sets(X, v_multi):
-                    if k & ~left_mask == 0:
-                        kernel = [win for win in left_wins if _window_bit(*win) & k]
-                        witness = (_indec_mask(A, kernel), _indec_mask(A, v_multi))
-                        _witness_table(A).setdefault(w_idx, set()).add(witness)
-                        return True
+    a, b = w.top_vertex, w.top_vertex + w.length - 1
+    terms = ((a, b), (a - 1, b), (a, b + 1), (a - 1, b + 1))
+    ext = _ext_pairs(A)
+    flips = []  # per pair: (term, row of v, column bit of u) for each term whose path crosses its gluing bit
+    for col, u_idx in enumerate(_bits(u_mask)):
+        u = indecs[u_idx]
+        g, d = u.top_vertex, u.top_vertex + u.length - 1
+        for q, _ in ext[u_idx]:
+            if q & v_mask:
+                v = indecs[q.bit_length() - 1]
+                e, f = v.top_vertex, v.top_vertex + v.length - 1
+                row = (v_mask & (q - 1)).bit_count()
+                crossed = (t for t, (i, j) in enumerate(terms) if e <= i <= f < j <= d and i < g)
+                flips.append(tuple((t, row, 1 << col) for t in crossed))
+    rows = [[0] * v_mask.bit_count() for _ in terms]
+    for step in range(1, 1 << len(flips)):
+        for t, row, col in flips[(step & -step).bit_length() - 1]:
+            rows[t][row] ^= col
+        if _rank_f2(rows[0]) - _rank_f2(rows[1]) - _rank_f2(rows[2]) + _rank_f2(rows[3]) > 0:
+            return True
     return False
-
-
-def _indec_mask(A: Algebra, windows) -> int:
-    """The indecomposable mask of the distinct windows [a, b] in windows."""
-    index = indec_index(A)
-    mask = 0
-    for a, b in windows:
-        mask |= 1 << index[Uniserial(a, b - a + 1)]
-    return mask
 
 
 def _walk(A: Algebra, t_mask: int):

@@ -65,7 +65,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .closure import IndecSet, star
+from .closure import IndecSet, _refuse_pair_table, star
 from .nakayama import (
     Algebra,
     InputError,
@@ -857,12 +857,15 @@ def oracle_report(A: Algebra, cap: int = 12, max_support: int = 2) -> dict:
 
     The star sweep draws ends of up to ``max_support`` distinct summands.  A
     cap below 2 admits no pair of modules and a ``max_support`` below 1 no
-    end, so either is an ``InputError``, raised before any check runs.
+    end, so either is an ``InputError``, raised before any check runs.  Next,
+    on every shape, star's size rule (``_refuse_pair_table``: count^2 pairs
+    of indecomposables above ``PAIR_TABLE_LIMIT``) refuses before any check.
     """
     from .homext import ext1_nonzero, hom_dim  # local to avoid import-order knots
 
     _check_sweep_bound("cap", cap, 2)
     _check_sweep_bound("max_support", max_support, 1)
+    _refuse_pair_table(A.dimension)  # the number of indecomposables, none built yet
     checks = []
     indecs = indecomposables(A)
     reps = {u: to_matrep(A, u) for u in indecs if u.length <= cap}

@@ -334,6 +334,20 @@ def test_oracle_verify(capsys):
     assert out == golden("oracle_verify_linear3_ab_cap10.json")
 
 
+def test_oracle_verify_refuses_long_lines_fast(capsys, tmp_path):
+    # star's size rule, count^2 (quotient, submodule) pairs above
+    # PAIR_TABLE_LIMIT, refuses before any check; without it linear200 ran
+    # on past 10 s with no output
+    for n in (200, 2000):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "verify", "--algebra", str(path))
+        assert code == EXIT_REFUSAL and time.perf_counter() - start < 1.0, (n, err)
+        count = n * (n + 1) // 2
+        assert out == "" and f"{count} indecomposables make the ext-pair table check" in err
+
+
 def test_oracle_verify_vacuous_cap_is_input_error(capsys):
     # a cap below 2 admits no sweep pair: refusing beats an empty pass
     for cap in ("1", "0", "-3"):

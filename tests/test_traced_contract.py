@@ -1,6 +1,6 @@
 """The traced benchmark's hold on the package: every name that
-``perfbench/spans.py`` wraps must exist in the shape its mode needs, and the
-``verify_battery`` commands must call every ``morphisms`` span it expects."""
+``perfbench/spans.py`` wraps must exist in the shape its mode needs, and each
+workload's commands must call every span it expects."""
 
 from __future__ import annotations
 
@@ -37,24 +37,28 @@ def test_every_traced_target_resolves_in_its_mode():
             assert kind == "plain", name
 
 
-def test_verify_battery_calls_every_morphisms_span(monkeypatch, capsys):
-    # the traced verify_battery run fails on an expected span with no calls;
-    # run the workload's commands in-process under the same tracer and check
-    # the morphisms spans, the ones a change to verify's rows can starve
+def test_every_workload_calls_every_expected_span(monkeypatch, capsys, tmp_path):
+    # the traced run fails on an expected span with no calls; run each
+    # workload's commands in-process under the same tracer, with the
+    # engine's caches cleared as in a fresh interpreter, and check every
+    # span it expects: a change to verify's rows can starve the morphisms
+    # spans, and a change to star's tiers closure.realizable
     run = _load("perfbench_run", "run.py")
-    expected = sorted(name for name in run.WORKLOADS["verify_battery"].spans if name.startswith("morphisms."))
-    assert expected
     originals = {id(getattr(importlib.import_module(module), attr)) for module, attr, _ in spans.TRACED.values()}
     namespaces = [m for k, m in sys.modules.items() if k == "orlov_kit" or k.startswith("orlov_kit.")]
-    for ns in namespaces:  # monkeypatch undoes what install() patches
-        for key, value in list(vars(ns).items()):
-            if id(value) in originals:
-                monkeypatch.setattr(ns, key, value)
-    tracer = spans.Tracer()
-    tracer.install()
     cli = sys.modules["orlov_kit.cli"]
-    assert cli.main(["verify", "--seed", "1"]) == cli.EXIT_OK
-    assert cli.main(["coghost-lemma", "--algebra", cli._fixture_path("linear4.json")]) == cli.EXIT_OK
-    capsys.readouterr()
-    summary = tracer.summary()
-    assert [name for name in expected if summary[name]["calls"] == 0] == []
+    for name, workload in run.WORKLOADS.items():
+        for ns in namespaces:  # monkeypatch undoes what install() patches
+            for key, value in list(vars(ns).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(ns, key, value)
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        tracer = spans.Tracer()
+        tracer.install()
+        for command in workload.build(1, tmp_path):
+            assert cli.main(list(command.argv)) == cli.EXIT_OK, (name, command.label)
+        capsys.readouterr()
+        summary = tracer.summary()
+        assert [span for span in sorted(workload.spans) if summary[span]["calls"] == 0] == [], name
+        monkeypatch.undo()
