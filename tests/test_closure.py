@@ -566,7 +566,7 @@ def _rank_gf3(rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 if rows[rank][col] % 3 == 1 else 2
+        inv = rows[rank][col] % 3  # 1 and 2 are their own inverses mod 3
         rows[rank] = [x * inv % 3 for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] % 3:
@@ -593,12 +593,9 @@ def _realizable_gf3(A, w: int, u_mask: int, v_mask: int) -> bool:
             return 0
         src = [x for x in basis if win[x][0] <= i <= win[x][1]]
         dst = [y for y in basis if win[y][0] <= j <= win[y][1]]
-        rows = []
-        for x in src:
-            row = [1 if y == x else 0 for y in dst]
-            if x in (v for v, _ in pairs) and win[x][1] < j:
-                row = [coeff.get((x, y), 0) for y in dst]
-            rows.append(row)
+        # a window holding j maps to itself; one ending before j maps
+        # through its gluing bits, if any
+        rows = [[coeff.get((x, y), 0) for y in dst] if win[x][1] < j else [int(x == y) for y in dst] for x in src]
         return _rank_gf3(rows)
 
     for values in itertools.product(range(3), repeat=len(pairs)):
