@@ -336,14 +336,36 @@ def _pattern_orbits(V: ModuleSum, U: ModuleSum, pairs) -> list[list[int]]:
     return orbits
 
 
+def _touched_runs_independent(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> bool:
+    """Whether a pattern's rows on every run of equal V summands and its
+    columns on every run of equal U summands, over the copies it touches,
+    are linearly independent over GF(2) (reference for the rank rule of
+    ``middle_terms``, read from the pairs alone)."""
+    rows: dict[int, int] = {}  # V position -> its row over the U positions
+    cols: dict[int, int] = {}  # U position -> its column over the V positions
+    for idx, (i, j, _) in enumerate(pairs):
+        if bits >> idx & 1:
+            rows[i] = rows.get(i, 0) | 1 << j
+            cols[j] = cols.get(j, 0) | 1 << i
+    for summands, vectors in ((V.summands, rows), (U.summands, cols)):
+        runs: dict[Uniserial, list[int]] = {}
+        for pos, vec in vectors.items():
+            runs.setdefault(summands[pos], []).append(vec)
+        if any(gf2_rank(run) < len(run) for run in runs.values()):
+            return False
+    return True
+
+
 def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
     # middle_terms decomposes one pattern per orbit under permutations of
-    # equal summands.  On a seeded sample of sweep pairs with at least two
-    # ext pairs, decompose every bit pattern: patterns in one orbit must
-    # share their middle, middle_terms must return exactly the middles of
-    # all patterns, and it must call decompose once per nonzero orbit.
+    # equal summands, and only patterns whose touched runs are independent.
+    # On a seeded sample of sweep pairs with at least two ext pairs,
+    # decompose every bit pattern: patterns in one orbit must share their
+    # middle and their independence, middle_terms must return exactly the
+    # middles of all patterns, and it must call decompose once per nonzero
+    # orbit whose touched runs are independent.
     rng = random.Random(9)
-    merged = 0
+    merged = skipped = 0
     calls = []
     original = oracle.decompose
 
@@ -365,24 +387,34 @@ def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
             sampled += 1
             orbits = _pattern_orbits(V, U, pairs)
             middles = []
+            independent = 0
             for orbit in orbits:
                 found = {original(_build_middle(Urep, Vrep, pairs, bits)) for bits in orbit}
                 assert len(found) == 1, (A.kupisch, V, U, orbit)
                 middles.append(found.pop())
+                ranks = {_touched_runs_independent(V, U, pairs, bits) for bits in orbit}
+                assert len(ranks) == 1, (A.kupisch, V, U, orbit)
+                independent += orbit != [0] and ranks.pop()
             oracle._touching_table.cache_clear()  # count on a cold table
             calls.clear()
             assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
-            assert len(calls) == len(orbits) - 1, (A.kupisch, V, U)  # the zero orbit is U + V
+            assert len(calls) == independent, (A.kupisch, V, U)
             merged += len(orbits) < 1 << len(pairs)
-    assert merged > 0  # the orbit rule does merge patterns on this sample
+            skipped += independent < len(orbits) - 1
+    assert merged > 0 and skipped > 0  # both rules cut patterns on this sample
 
 
 def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
     # V = S1 + S1, U = S2 + S2 + M[2,3]: six ext pairs, 63 nonzero patterns
-    # in 23 orbits under the group of order 4.
+    # in 23 orbits under the group of order 4, of which 13 have independent
+    # touched runs.
     A = linear(3)
     V = ModuleSum.of(Uniserial(1, 1), Uniserial(1, 1))
     U = ModuleSum.of(Uniserial(2, 1), Uniserial(2, 1), Uniserial(2, 2))
+    Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+    orbits = _pattern_orbits(V, U, pairs)
+    assert len(orbits) - 1 == 23
+    assert sum(_touched_runs_independent(V, U, pairs, orbit[0]) for orbit in orbits[1:]) == 13
     calls = []
     original = oracle.decompose
 
@@ -393,18 +425,20 @@ def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
     monkeypatch.setattr(oracle, "decompose", counting)
     oracle._touching_table.cache_clear()  # count on a cold table
     middles = middle_terms(A, V, U)
-    assert len(calls) == 23
+    assert len(calls) == 13
     assert len(middles) == 5
 
 
 def test_middle_terms_split_off_rule(linear, linear3_ab):
-    # A pattern's middle is its untouched summands plus a middle of the
-    # sub-pair it touches, as ``_touching_middles`` lists them.  Checked by
-    # decomposing each pattern of a seeded sample of sweep pairs directly.
+    # A pattern whose touched runs are independent has as middle its
+    # untouched summands plus a middle of the sub-pair it touches, as
+    # ``_touching_middles`` lists them; any other pattern's middle is still
+    # one of ``middle_terms``, by the rank rule.  Checked by decomposing
+    # each pattern of a seeded sample of sweep pairs directly.
     rng = random.Random(21)
     for A in (linear(3), linear3_ab, linear(4)):
         modules = list(_multisets(A, 2, 2, 10))
-        sampled = 0
+        sampled = dependent = 0
         while sampled < 40:
             V, U = rng.choice(modules), rng.choice(modules)
             if V.dim + U.dim > 10:
@@ -413,8 +447,14 @@ def test_middle_terms_split_off_rule(linear, linear3_ab):
             if not pairs:
                 continue
             sampled += 1
+            every = middle_terms(A, V, U)
             patterns = range(1, 1 << len(pairs))
             for bits in rng.sample(patterns, min(len(patterns), 64)):
+                got = decompose(_build_middle(Urep, Vrep, pairs, bits))
+                if not _touched_runs_independent(V, U, pairs, bits):
+                    dependent += 1
+                    assert got in every, (A.kupisch, V, U, bits)
+                    continue
                 touched_v = {i for idx, (i, _, _) in enumerate(pairs) if bits >> idx & 1}
                 touched_u = {j for idx, (_, j, _) in enumerate(pairs) if bits >> idx & 1}
                 rest = [v for i, v in enumerate(V.summands) if i not in touched_v]
@@ -423,8 +463,60 @@ def test_middle_terms_split_off_rule(linear, linear3_ab):
                 U1 = ModuleSum.from_iterable(U.summands[j] for j in touched_u)
                 want = {ModuleSum.from_iterable(rest + list(M))
                         for M in oracle._touching_middles(A, V1, U1)}
-                got = decompose(_build_middle(Urep, Vrep, pairs, bits))
                 assert got in want, (A.kupisch, V, U, bits)
+        assert dependent > 0, A.kupisch
+
+
+def test_rank_rule_matches_every_pattern(linear, monkeypatch):
+    # The rank rule decomposes only patterns whose touched runs are
+    # independent.  On every coupled sub-pair that a sweep decomposes, the
+    # middles of all its bit patterns, each decomposed, must be exactly
+    # middle_terms.  linear3 at max_mult=3 has runs of three equal
+    # summands, where distinct rows can still be dependent (a, b, a + b);
+    # its cap is 8, where 96 of the 202 pairs hold such a run, since cap 10
+    # has ten times the patterns (223,782).
+    coupled = []
+    original = oracle._touching_middles
+
+    def recording(A, V, U):
+        coupled.append((V, U))
+        return original(A, V, U)
+
+    monkeypatch.setattr(oracle, "_touching_middles", recording)
+    for A, max_mult, cap in ((linear(3), 3, 8), (linear(4), 2, 10)):
+        oracle._touching_table.cache_clear()
+        coupled.clear()
+        verify_star_sweep(A, cap=cap, max_mult=max_mult, max_support=2)
+        swept = list(coupled)
+        if max_mult == 3:
+            assert any(3 in map(M.summands.count, M.summands) for pair in swept for M in pair)
+        for V, U in swept:
+            Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+            every = {decompose(_build_middle(Urep, Vrep, pairs, bits)) for bits in range(1 << len(pairs))}
+            assert middle_terms(A, V, U, cap) == every, (A.kupisch, V, U)
+
+
+def test_outnumbered_run_builds_nothing(linear, monkeypatch):
+    # V = S1 + S1 against U = S2: two rows in a one-dimensional space are
+    # dependent in every pattern, so the pair's entry is empty and only the
+    # sub-pair (S1, S2) builds representations; its class still gives the
+    # middle M[1,2] + S1 of (V, U).
+    A = linear(3)
+    s1, s2 = Uniserial(1, 1), Uniserial(2, 1)
+    V, U = ModuleSum.of(s1, s1), ModuleSum.of(s2)
+    oracle._ext_rows(A)  # the ext table builds each uniserial's representation once
+    calls = []
+    original = oracle._matrep
+
+    def counting(B, M):
+        calls.append(M)
+        return original(B, M)
+
+    monkeypatch.setattr(oracle, "_matrep", counting)
+    oracle._touching_table.cache_clear()
+    assert middle_terms(A, V, U) == frozenset({U + V, ModuleSum.of(Uniserial(1, 2), s1)})
+    assert sorted(M.summands for M in calls) == [(s1,), (s2,)]
+    assert sorted(oracle._touching_table(A).values()) == [((), 0), (((Uniserial(1, 2),),), 1 << 1)]
 
 
 def test_middle_terms_reuses_coupled_sub_pairs(linear, monkeypatch):
