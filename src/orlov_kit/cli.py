@@ -17,6 +17,7 @@ import sys
 from importlib import resources
 
 from .closure import (
+    COGHOST_CHECK_LIMIT,
     IndecSet,
     bracket_n,
     generation_time,
@@ -241,6 +242,15 @@ def _cmd_pd(args) -> int:
 
 def _cmd_coghost(args) -> int:
     A = load_algebra(args.algebra)
+    # counted before T_m is indexed; other inputs fail in tm_generator or ar_quiver
+    if args.list_irreducible and A.is_linear and A.relation is None and 1 <= args.m < A.n:
+        checks = A.n * (A.n - 1) * (A.n + args.m - 1)
+        if checks > COGHOST_CHECK_LIMIT:
+            raise RefusalError(
+                f"{A.n * (A.n - 1):,} AR arrows times {A.n + args.m - 1} generator members make "
+                f"{checks:,} coghost checks, above the limit of {COGHOST_CHECK_LIMIT:,} "
+                "(about 0.8 million a second)"
+            )
     T = tm_generator(A, args.m)
     payload = {
         "algebra": _algebra_blurb(A),

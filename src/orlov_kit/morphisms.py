@@ -80,13 +80,8 @@ def morphism(A: Algebra, source: ModuleSum, target: ModuleSum, entries: dict) ->
     validate_module(A, target)
     coeff = [[0] * len(target) for _ in range(len(source))]
     for key, value in entries.items():
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and all(map(_is_int, key))
-            and 0 <= key[0] < len(source)
-            and 0 <= key[1] < len(target)
-        ):
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))
+                and 0 <= key[0] < len(source) and 0 <= key[1] < len(target)):
             raise InputError(f"morphism entry keys must be in-range (source, target) indices, got {key!r}")
         s, t = key
         if not _is_int(value):
@@ -106,13 +101,7 @@ def zero_morphism(A: Algebra, source: ModuleSum, target: ModuleSum) -> Morphism:
 
 
 def identity_morphism(A: Algebra, M: ModuleSum) -> Morphism:
-    entries = {
-        (s, t): 1
-        for s, u in enumerate(M.summands)
-        for t, v in enumerate(M.summands)
-        if s == t
-    }
-    return morphism(A, M, M, entries)
+    return morphism(A, M, M, {(s, s): 1 for s in range(len(M))})
 
 
 def basis_morphism(A: Algebra, x: Uniserial, y: Uniserial, scalar=1) -> Morphism:
@@ -127,20 +116,18 @@ def arrow_morphism(A: Algebra, arrow: ARArrow) -> Morphism:
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f.  Entry (s,u) sums over middles, then the endpoint rule
-    top(source_s) <= end(target_u) decides survival (it is path independent)."""
+    """g after f: entry (s,u) sums f[s][t] g[t][u] over the t with f[s][t] != 0
+    and survives iff top(source_s) <= end(target_u) (path independent)."""
     if f.target != g.source:
         raise InputError("compose(g, f) needs f.target == g.source")
+    ends = [tgt.top_vertex + tgt.length - 1 for tgt in g.target.summands]
     rows = []
-    for s, src in enumerate(f.source.summands):
-        row = []
-        for u, tgt in enumerate(g.target.summands):
-            if src.top_vertex <= tgt.top_vertex + tgt.length - 1:
-                total = sum(f.coefficients[s][t] * g.coefficients[t][u] for t in range(len(f.target)))
-            else:
-                total = 0
-            row.append(total)
-        rows.append(tuple(row))
+    for src, f_row in zip(f.source.summands, f.coefficients):
+        terms = [(g.coefficients[t], c) for t, c in enumerate(f_row) if c]
+        top = src.top_vertex
+        rows.append(tuple(
+            sum(c * g_row[u] for g_row, c in terms) if top <= end else 0 for u, end in enumerate(ends)
+        ))
     return Morphism(f.source, g.target, tuple(rows))
 
 
@@ -204,9 +191,7 @@ def tm_generator(A: Algebra, m: int) -> IndecSet:
     _require_linear(A)
     if not _is_int(m) or not 1 <= m < A.n:
         raise InputError(f"m must be an integer with 1 <= m < {A.n}, got {m!r}")
-    members = {Uniserial(1, j) for j in range(1, m + 1)}
-    members |= {simple(A, i) for i in range(1, A.n + 1)}
-    return IndecSet.of(A, members)
+    return IndecSet.of(A, {Uniserial(1, j) for j in range(1, m + 1)} | {simple(A, i) for i in range(1, A.n + 1)})
 
 
 def irreducible_coghosts(A: Algebra, T: IndecSet) -> tuple[ARArrow, ...]:
@@ -246,12 +231,74 @@ def _chain_tables(A: Algebra):
     return ends, into, out_of
 
 
-def _edge_masks(table, kill: int) -> list[int]:
-    """step[x] = bitmask of y with table[x][y] defined and disjoint from kill."""
-    return [
-        sum(1 << y for y, mask in enumerate(row) if mask is not None and mask & kill == 0)
-        for row in table
-    ]
+@lru_cache(maxsize=None)
+def _packed_edges(A: Algebra):
+    """``_chain_tables`` packed, one (base, kill, good) per direction (0:
+    coghost ``into``, 1: ghost ``out_of``).  ``base`` has every defined edge
+    x -> y as bit x*count + y, ``kill[i]`` the edges whose table mask holds
+    member i, and good[y] the chain ends with nonzero composite: {a : top(a)
+    <= end(y)} into Y, {b : top(Y) <= end(b)} out of Y."""
+    ends, into, out_of = _chain_tables(A)
+    tops = [u.top_vertex for u in indecomposables(A)]
+    count = len(tops)
+    good_in = tuple(sum(1 << a for a, top in enumerate(tops) if top <= end) for end in ends)
+    good_out = tuple(sum(1 << b for b, end in enumerate(ends) if top <= end) for top in tops)
+    packed = []
+    for table, good in ((into, good_in), (out_of, good_out)):
+        base, kill = 0, [0] * count
+        for x, row in enumerate(table):
+            for y, mask in enumerate(row):
+                if mask is not None:
+                    base |= 1 << x * count + y
+                    for i in _bits(mask):
+                        kill[i] |= 1 << x * count + y
+        packed.append((base, tuple(kill), good))
+    return tuple(packed)
+
+
+def _steps(A: Algebra, T: IndecSet, ghost: bool) -> tuple[list[int], tuple[int, ...]]:
+    """(step, good) for T: T's edges are ``base`` less kill[i] for each i in T
+    (|T| int operations), and their row x is step[x]."""
+    base, kill, good = _packed_edges(A)[ghost]
+    for i in _bits(T.mask):
+        base &= ~kill[i]
+    count, row = len(good), (1 << len(good)) - 1
+    return [base >> x * count & row for x in range(count)], good
+
+
+def _packed_reach(step: list[int]):
+    """Yield the reach of every start at once, after 1, 2, ... steps.
+
+    Row y of the packed int (bits y*count ... y*count + count - 1) is the set
+    reached from y; it starts at the identity, bit y*count + y.  One step ORs,
+    for each x, ``(reach >> x & rows) * step[x]``: ``rows`` has bit y*count
+    for every y, so the factor selects the rows holding x.  The product has
+    no carries: the selected bits lie count places apart and step[x] <
+    2^count, so each copy of step[x] fills only its own row.
+    """
+    count = len(step)
+    rows = ((1 << count * count) - 1) // ((1 << count) - 1)  # sum of 2^(y*count)
+    reach = ((1 << count * (count + 1)) - 1) // ((1 << count + 1) - 1)  # sum of 2^(y*count + y)
+    live = [(x, s) for x, s in enumerate(step) if s]
+    while True:
+        new = 0
+        for x, s in live:
+            new |= (reach >> x & rows) * s
+        reach = new
+        yield reach
+
+
+def _layers(A: Algebra, T: IndecSet, start: Uniserial, n: int, ghost: bool):
+    """(step, good, index of start, [reach after 0..n steps from start])."""
+    if n < 1:
+        raise InputError(f"chain length must be >= 1, got {n}")
+    _check_algebra(A, T)
+    step, good = _steps(A, T, ghost)
+    y = indec_index(A)[start]
+    layers = [1 << y]
+    for _ in range(n):
+        layers.append(_union(step, layers[-1]))
+    return step, good, y, layers
 
 
 def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
@@ -261,58 +308,27 @@ def coghost_chain_exists(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> bool:
     the composite is nonzero iff top(A_n) <= end(Y) (window ends shrink, so
     only the endpoints matter).  Basis chains are complete for this question.
     """
-    if n < 1:
-        raise InputError(f"chain length must be >= 1, got {n}")
-    _check_algebra(A, T)
-    ends, into, _ = _chain_tables(A)
-    step = _edge_masks(into, T.mask)
-    indecs = indecomposables(A)
-    y = indec_index(A)[Y]
-    reach = 1 << y
-    for _ in range(n):
-        reach = _union(step, reach)
-    return any(indecs[a].top_vertex <= ends[y] for a in _bits(reach))
+    _, good, y, layers = _layers(A, T, Y, n, False)
+    return bool(layers[n] & good[y])
 
 
 def ghost_chain_exists(A: Algebra, T: IndecSet, X: Uniserial, n: int) -> bool:
     """Dual search: nonzero composite of n T-ghost maps out of X."""
-    if n < 1:
-        raise InputError(f"chain length must be >= 1, got {n}")
-    _check_algebra(A, T)
-    ends, _, out_of = _chain_tables(A)
-    step = _edge_masks(out_of, T.mask)
-    reach = 1 << indec_index(A)[X]
-    for _ in range(n):
-        reach = _union(step, reach)
-    return any(X.top_vertex <= ends[b] for b in _bits(reach))
+    _, good, x, layers = _layers(A, T, X, n, True)
+    return bool(layers[n] & good[x])
 
 
 def find_coghost_chain(A: Algebra, T: IndecSet, Y: Uniserial, n: int) -> tuple[Uniserial, ...] | None:
     """One witnessing chain (A_n, ..., A_1, Y) with nonzero composite, if any."""
-    if n < 1:
-        raise InputError(f"chain length must be >= 1, got {n}")
-    _check_algebra(A, T)
-    ends, into, _ = _chain_tables(A)
-    step = _edge_masks(into, T.mask)
-    indecs = indecomposables(A)
-    y = indec_index(A)[Y]
-    layers = [1 << y]
-    for _ in range(n):
-        layers.append(_union(step, layers[-1]))
-    starts = [a for a in _bits(layers[n]) if indecs[a].top_vertex <= ends[y]]
+    step, good, y, layers = _layers(A, T, Y, n, False)
+    starts = layers[n] & good[y]
     if not starts:
         return None
-    chain = [starts[0]]
-    for k in range(n - 1, 0, -1):
-        cur = chain[-1]
-        for b in _bits(layers[k]):
-            if step[b] >> cur & 1:
-                chain.append(b)
-                break
-        else:  # pragma: no cover - layers are consistent by construction
-            raise AssertionError("chain reconstruction failed")
-    chain.append(y)
-    return tuple(indecs[k] for k in chain)
+    chain = [next(_bits(starts))]
+    for k in range(n - 1, 0, -1):  # layer k holds a predecessor: layers are consistent by construction
+        chain.append(next(b for b in _bits(layers[k]) if step[b] >> chain[-1] & 1))
+    indecs = indecomposables(A)
+    return tuple(indecs[k] for k in chain + [y])
 
 
 def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
@@ -321,42 +337,38 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
       nonzero n-fold T-coghost into Y   <=>  Y not in [Sub T]_n
       nonzero n-fold T-ghost out of Y   <=>  Y not in [Fac T]_n
 
-    Returns human-readable violations (expected empty).  An ``nmax`` below 1
-    would check nothing, so it is refused rather than passed.  Level n's
-    checks read only (reach_in, reach_out, [Sub T]_n, [Fac T]_n), and each
-    part is a function of its value at n - 1, so once that state repeats every
-    later level repeats its checks: the loop stops there, whatever ``nmax``.
+    Returns human-readable violations (expected empty); an ``nmax`` below 1
+    would check nothing, so it is refused.  The chain ends of every Y come
+    from one packed int per direction (``_packed_reach``).  Level n's checks
+    read only (reach_in, reach_out, [Sub T]_n, [Fac T]_n), each a function
+    of its value at n - 1, so once that state repeats every later level
+    repeats its checks: the loop stops there, whatever ``nmax``.
     """
     if not _is_int(nmax) or nmax < 1:
         raise InputError(f"nmax must be a positive integer, got {nmax!r}")
     _check_algebra(A, T)
     violations = []
     indecs = indecomposables(A)
-    ends, into, out_of = _chain_tables(A)
-    step_in = _edge_masks(into, T.mask)
-    step_out = _edge_masks(out_of, T.mask)
-    # reach_in[y] / reach_out[x]: chain sources into y / targets out of x
-    reach_in = reach_out = [1 << k for k in range(len(indecs))]
+    count = len(indecs)
+    step_in, good_in = _steps(A, T, False)
+    step_out, good_out = _steps(A, T, True)
     sub_mask = sub_closure(A, T).mask
     fac_mask = fac_closure(A, T).mask
     state = None
-    for n in range(1, nmax + 1):
-        reach_in = [_union(step_in, r) for r in reach_in]
-        reach_out = [_union(step_out, r) for r in reach_out]
-        in_sub = _level(A, sub_mask, n)
-        in_fac = _level(A, fac_mask, n)
+    levels = zip(range(1, nmax + 1), _packed_reach(step_in), _packed_reach(step_out))
+    for n, reach_in, reach_out in levels:
+        in_sub, in_fac = _level(A, sub_mask, n), _level(A, fac_mask, n)
         if state == (reach_in, reach_out, in_sub, in_fac):
             break
         state = (reach_in, reach_out, in_sub, in_fac)
-        for y, Y in enumerate(indecs):
-            cog = any(indecs[a].top_vertex <= ends[y] for a in _bits(reach_in[y]))
-            gho = any(Y.top_vertex <= ends[b] for b in _bits(reach_out[y]))
+        cog = sum(1 << y for y in range(count) if reach_in >> y * count & good_in[y])
+        gho = sum(1 << y for y in range(count) if reach_out >> y * count & good_out[y])
+        for y in _bits((~(cog ^ in_sub) | ~(gho ^ in_fac)) & (1 << count) - 1):
             for kind, chain, level in (("coghost", cog, in_sub), ("ghost", gho, in_fac)):
-                member = bool(level >> y & 1)
+                chain, member = bool(chain >> y & 1), bool(level >> y & 1)
                 if chain == member:
-                    violations.append(
-                        f"{kind} mismatch: T={T.mask:#x} n={n} Y={Y}: chain={chain}, level member={member}"
-                    )
+                    violations.append(f"{kind} mismatch: T={T.mask:#x} n={n} Y={indecs[y]}: "
+                                      f"chain={chain}, level member={member}")
     return violations
 
 
@@ -383,10 +395,10 @@ def radical_nilpotence_check(A: Algebra) -> dict:
     (a walk count over ``step``, nonzero composite or not), and
     ``longest_nonzero``, the largest k <= n with R^k != 0 (expected n - 1).
 
-    Cost: n - 1 products of count x count matrices, so count^3 * n
-    coefficient steps.  Warm calls on one core of a 2-vCPU Xeon took 5-8 ms
-    on linear6, 28-44 ms on linear8, 0.11-0.17 s on linear10 and 0.35-0.56 s
-    on linear12 (two sittings; the host's speed drifts).
+    Cost: n - 1 products of count x count matrices, each entry summed over the
+    nonzero terms of its row of R^(k-1) only.  Warm calls on one core of a
+    2-vCPU Xeon took 1.2-1.4 ms on linear6, 4-5 ms on linear8, 14 ms on linear10
+    and 36-40 ms on linear12 (the dense sum: 3, 18, 73 and 242 ms, same sitting).
     """
     _require_linear(A)
     n = A.n
@@ -403,18 +415,11 @@ def radical_nilpotence_check(A: Algebra) -> dict:
             longest = k
     walks = [1] * len(indecs)  # walks[x]: basis chains of the current length ending at x
     for _ in range(n):
-        nxt = [0] * len(indecs)
-        for x, count in enumerate(walks):
-            for y in _bits(step[x]):
-                nxt[y] += count
-        walks = nxt
+        walks = [sum(w for w, row in zip(walks, step) if row >> y & 1) for y in range(len(indecs))]
     return {
         "n": n,
         "nonzero_composites": [
-            (indecs[s], indecs[u], n)
-            for s, row in enumerate(power.coefficients)
-            for u, entry in enumerate(row)
-            if entry
+            (indecs[s], indecs[u], n) for s, row in enumerate(power.coefficients) for u, e in enumerate(row) if e
         ],
         "chains": sum(walks),
         "longest_nonzero": longest,
@@ -435,12 +440,7 @@ def left_approximation(A: Algebra, X: ModuleSum, T: IndecSet) -> Morphism:
     _require_linear(A)
     _check_algebra(A, T)
     validate_module(A, X)
-    items = [
-        (s, I)
-        for s, src in enumerate(X.summands)
-        for I in T.members()
-        if hom_dim(A, src, I)
-    ]
+    items = [(s, I) for s, src in enumerate(X.summands) for I in T.members() if hom_dim(A, src, I)]
     order = sorted(range(len(items)), key=lambda k: (items[k][1], items[k][0]))
     target = ModuleSum.from_iterable(items[k][1] for k in order)
     entries = {(items[k][0], col): 1 for col, k in enumerate(order)}

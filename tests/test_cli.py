@@ -267,6 +267,33 @@ def test_coghost_listing(capsys):
     assert payload["irreducible_coghosts"] == ["f+[3,3]", "f+[3,4]", "f+[4,4]"]
 
 
+def test_coghost_listing_refuses_long_lines_fast(capsys, tmp_path):
+    # n(n - 1) AR arrows times n + m - 1 members of T_m, counted before T_m
+    # is indexed: linear2000 took 4.4 s to build T_m alone
+    for n in (200, 2000):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coghost", "--algebra", str(path), "--m", "2", "--list-irreducible")
+        assert code == EXIT_REFUSAL and time.perf_counter() - start < 1.0, (n, err)
+        checks = n * (n - 1) * (n + 1)
+        assert out == "" and f"make {checks:,} coghost checks, above the limit of 2,000,000" in err, err
+        # without the listing there is nothing to refuse
+        if n == 200:
+            assert run_cli(capsys, "coghost", "--algebra", str(path), "--m", "2")[0] == EXIT_OK
+
+
+def test_coghost_listing_answers_every_linear100(capsys, tmp_path, monkeypatch):
+    # m = 99 is linear100's largest count, 9,900 x 198 = 1,960,200; the
+    # listing itself is stubbed, as it takes over a second
+    path = tmp_path / "linear100.json"
+    path.write_text(json.dumps({"shape": "linear", "n": 100, "relation": None}))
+    monkeypatch.setattr(cli, "irreducible_coghosts", lambda A, T: ())
+    for m in ("2", "99"):
+        payload = run_json(capsys, "coghost", "--algebra", str(path), "--m", m, "--list-irreducible")
+        assert payload["irreducible_coghosts"] == []
+
+
 def test_coghost_lemma_sweep(capsys):
     code, out, err = run_cli(capsys, "coghost-lemma", "--algebra", LIN3, "--nmax", "3")
     assert code == EXIT_OK, err

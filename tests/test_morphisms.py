@@ -28,10 +28,12 @@ from orlov_kit import (
     projective,
     radical_nilpotence_check,
     simple,
+    sub_closure,
     tm_generator,
 )
 from conftest import all_linear_algebras
 from orlov_kit import morphisms
+from orlov_kit.closure import _bits, _union
 from orlov_kit.homext import ARArrow, interval_end
 from orlov_kit.morphisms import (
     Morphism,
@@ -407,6 +409,86 @@ def test_chain_tables_match_hom_dim_reference(monkeypatch):
     for A in algebras:
         ends, into, out_of = morphisms._chain_tables(A)
         assert (ends, into, out_of) == want[A], A.kupisch
+
+
+def _reference_steps(table, kill: int) -> list[int]:
+    """Per-row edge masks as the chain searches once built them: step[x] has
+    the y with table[x][y] defined and disjoint from kill."""
+    return [
+        sum(1 << y for y, mask in enumerate(row) if mask is not None and mask & kill == 0)
+        for row in table
+    ]
+
+
+def test_packed_kernel_matches_the_per_row_walk():
+    # every linear algebra with n <= 5, both directions, seeded T, 6 levels
+    rng = random.Random(24)
+    for A in (A for n in range(1, 6) for A in all_linear_algebras(n)):
+        indecs = indecomposables(A)
+        count = len(indecs)
+        full = (1 << count) - 1
+        ends, into, out_of = morphisms._chain_tables(A)
+        masks = {0, full} | {rng.randrange(full + 1) for _ in range(12)}
+        for mask in sorted(masks):
+            T = IndecSet(A, mask)
+            for ghost, table in ((False, into), (True, out_of)):
+                step, good = morphisms._steps(A, T, ghost)
+                assert step == _reference_steps(table, mask), (A.kupisch, mask, ghost)
+                for y, Y in enumerate(indecs):
+                    want = {a for a in range(count) if (Y.top_vertex <= ends[a] if ghost
+                                                        else indecs[a].top_vertex <= ends[y])}
+                    assert set(_bits(good[y])) == want
+                rows = [1 << y for y in range(count)]
+                for packed, _ in zip(morphisms._packed_reach(step), range(6)):
+                    rows = [_union(step, r) for r in rows]
+                    assert [packed >> y * count & full for y in range(count)] == rows, (A.kupisch, mask)
+                    assert packed >> count * count == 0
+
+
+def _reference_lemma_check(A, T, nmax):
+    """``coghost_lemma_check`` as a per-row walk: one reach mask per Y, each
+    stepped with ``_union`` and read element by element."""
+    indecs = indecomposables(A)
+    ends, into, out_of = morphisms._chain_tables(A)
+    step_in, step_out = _reference_steps(into, T.mask), _reference_steps(out_of, T.mask)
+    reach_in = reach_out = [1 << k for k in range(len(indecs))]
+    sub_mask, fac_mask = sub_closure(A, T).mask, fac_closure(A, T).mask
+    violations, state = [], None
+    for n in range(1, nmax + 1):
+        reach_in = [_union(step_in, r) for r in reach_in]
+        reach_out = [_union(step_out, r) for r in reach_out]
+        in_sub, in_fac = morphisms._level(A, sub_mask, n), morphisms._level(A, fac_mask, n)
+        if state == (reach_in, reach_out, in_sub, in_fac):
+            break
+        state = (reach_in, reach_out, in_sub, in_fac)
+        for y, Y in enumerate(indecs):
+            cog = any(indecs[a].top_vertex <= ends[y] for a in _bits(reach_in[y]))
+            gho = any(Y.top_vertex <= ends[b] for b in _bits(reach_out[y]))
+            for kind, chain, level in (("coghost", cog, in_sub), ("ghost", gho, in_fac)):
+                member = bool(level >> y & 1)
+                if chain == member:
+                    violations.append(
+                        f"{kind} mismatch: T={T.mask:#x} n={n} Y={Y}: chain={chain}, level member={member}"
+                    )
+    return violations
+
+
+def test_coghost_lemma_violations_match_the_per_row_walk(monkeypatch):
+    # Every T passes on the real levels, so the violation path is reached by
+    # flipping one bit of each level; the report must list the same lines in
+    # the same order as the per-row walk.
+    algebras = [A for n in range(1, 5) for A in all_linear_algebras(n)]
+    real = morphisms._level
+    flipped = 0
+    for level in (real, lambda A, t_mask, n: real(A, t_mask, n) ^ 1 << (t_mask + n) % A.dimension):
+        monkeypatch.setattr(morphisms, "_level", level)
+        for A in algebras:
+            for mask in range(1, 1 << A.dimension):
+                T = IndecSet(A, mask)
+                got = coghost_lemma_check(A, T, 5)
+                assert got == _reference_lemma_check(A, T, 5), (A.kupisch, mask)
+                flipped += len(got)
+        assert (flipped > 0) == (level is not real)
 
 
 # ---------------------------------------------------------------------------
