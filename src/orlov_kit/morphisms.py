@@ -364,8 +364,8 @@ def coghost_lemma_check(A: Algebra, T: IndecSet, nmax: int) -> list[str]:
         cog = sum(1 << y for y in range(count) if reach_in >> y * count & good_in[y])
         gho = sum(1 << y for y in range(count) if reach_out >> y * count & good_out[y])
         for y in _bits((~(cog ^ in_sub) | ~(gho ^ in_fac)) & (1 << count) - 1):
-            for kind, chain, level in (("coghost", cog, in_sub), ("ghost", gho, in_fac)):
-                chain, member = bool(chain >> y & 1), bool(level >> y & 1)
+            for kind, reached, level in (("coghost", cog, in_sub), ("ghost", gho, in_fac)):
+                chain, member = bool(reached >> y & 1), bool(level >> y & 1)
                 if chain == member:
                     violations.append(f"{kind} mismatch: T={T.mask:#x} n={n} Y={indecs[y]}: "
                                       f"chain={chain}, level member={member}")
