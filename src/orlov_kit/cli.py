@@ -35,7 +35,7 @@ from .layers import (
     radical_layer_length,
     theorem2_spectrum,
 )
-from .morphisms import irreducible_coghosts, radical_nilpotence_check, tm_generator
+from .morphisms import irreducible_coghosts, radical_nilpotence_check, tm_generator, tm_members
 from .nakayama import (
     INFINITE,
     Algebra,
@@ -242,23 +242,22 @@ def _cmd_pd(args) -> int:
 
 def _cmd_coghost(args) -> int:
     A = load_algebra(args.algebra)
-    # counted before T_m is indexed; other inputs fail in tm_generator or ar_quiver
+    # counted before T_m is built; other inputs fail in tm_members or ar_quiver
     if args.list_irreducible and A.is_linear and A.relation is None and 1 <= args.m < A.n:
         checks = A.n * (A.n - 1) * (A.n + args.m - 1)
         if checks > COGHOST_CHECK_LIMIT:
             raise RefusalError(
                 f"{A.n * (A.n - 1):,} AR arrows times {A.n + args.m - 1} generator members make "
                 f"{checks:,} coghost checks, above the limit of {COGHOST_CHECK_LIMIT:,} "
-                "(about 0.8 million a second)"
+                "(about 1.0 million a second)"
             )
-    T = tm_generator(A, args.m)
     payload = {
         "algebra": _algebra_blurb(A),
         "m": args.m,
-        "generator": [format_module(u) for u in T.members()],
+        "generator": [format_module(u) for u in tm_members(A, args.m)],
     }
     if args.list_irreducible:
-        payload["irreducible_coghosts"] = [f.label() for f in irreducible_coghosts(A, T)]
+        payload["irreducible_coghosts"] = [f.label() for f in irreducible_coghosts(A, tm_generator(A, args.m))]
     _emit(payload)
     return EXIT_OK
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .closure import IndecSet, _bits, _check_algebra, _hom_support, _level, _union, fac_closure, sub_closure
 from .homext import ARArrow, _linear_hom_dim, ar_quiver, hom_dim, interval_end
@@ -47,8 +48,8 @@ from .nakayama import (
     _is_int,
     indec_index,
     indecomposables,
-    simple,
     validate_module,
+    validate_uniserial,
 )
 
 
@@ -155,13 +156,15 @@ def is_coghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     """
     _require_linear(A)
     _check_algebra(A, T)
+    # each end once, so hom is read unchecked; T's members are valid by construction
+    validate_module(A, f.source)
+    validate_module(A, f.target)
     for I in T.members():
         end_i = interval_end(A, I)
-        src_homs = [hom_dim(A, u, I) for u in f.source.summands]
-        if not any(src_homs):
+        if not any(_linear_hom_dim(u, I) for u in f.source.summands):
             continue
         for t, tgt in enumerate(f.target.summands):
-            if hom_dim(A, tgt, I) == 0:
+            if not _linear_hom_dim(tgt, I):
                 continue
             for s, src in enumerate(f.source.summands):
                 if f.coefficients[s][t] and src.top_vertex <= end_i:
@@ -173,12 +176,13 @@ def is_ghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     """Hom(I, f) = 0 for every I in T; mirror image of is_coghost."""
     _require_linear(A)
     _check_algebra(A, T)
+    validate_module(A, f.source)
+    validate_module(A, f.target)
     for I in T.members():
-        tgt_homs = [hom_dim(A, I, u) for u in f.target.summands]
-        if not any(tgt_homs):
+        if not any(_linear_hom_dim(I, u) for u in f.target.summands):
             continue
         for s, src in enumerate(f.source.summands):
-            if hom_dim(A, I, src) == 0:
+            if not _linear_hom_dim(I, src):
                 continue
             for t, tgt in enumerate(f.target.summands):
                 if f.coefficients[s][t] and I.top_vertex <= interval_end(A, tgt):
@@ -186,12 +190,24 @@ def is_ghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     return True
 
 
-def tm_generator(A: Algebra, m: int) -> IndecSet:
-    """T_m: the initial intervals M_[1,j] for j <= m together with all simples."""
+def tm_members(A: Algebra, m: int) -> tuple[Uniserial, ...]:
+    """T_m's members, each validated, in the canonical order: the initial
+    intervals M_[1,j] for j <= m, then the simples of vertices 2..n."""
     _require_linear(A)
     if not _is_int(m) or not 1 <= m < A.n:
         raise InputError(f"m must be an integer with 1 <= m < {A.n}, got {m!r}")
-    return IndecSet.of(A, {Uniserial(1, j) for j in range(1, m + 1)} | {simple(A, i) for i in range(1, A.n + 1)})
+    members = [Uniserial(1, j) for j in range(1, m + 1)] + [Uniserial(i, 1) for i in range(2, A.n + 1)]
+    return tuple(validate_uniserial(A, u) for u in members)
+
+
+def tm_generator(A: Algebra, m: int) -> IndecSet:
+    """T_m: the initial intervals M_[1,j] for j <= m together with all simples.
+
+    Its n + m - 1 bits come from the Kupisch prefix sums, with no index of
+    every indecomposable: (i, l) is indecomposable c_1 + ... + c_{i-1} + l - 1.
+    """
+    starts = (0, *accumulate(A.kupisch))
+    return IndecSet(A, sum(1 << starts[u.top_vertex - 1] + u.length - 1 for u in tm_members(A, m)))
 
 
 def irreducible_coghosts(A: Algebra, T: IndecSet) -> tuple[ARArrow, ...]:

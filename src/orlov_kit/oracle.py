@@ -70,6 +70,19 @@ its middles, keyed by the pair's two int keys.  No middle is built as a
 sweep leaves 139, 24 and 861 entries in ``_touching_table`` on ``linear3``,
 ``linear3_ab`` and ``linear4``.
 
+Domination rule.  Adding one copy v of a summand of V never loses a middle
+summand: a middle X of a class of (V, U) gives the middle X + v of the
+class of (V + v, U) that is zero on v's pairs, by the split-off rule, so
+union(V, U) is inside union(V + v, U), and the same holds for U.  The copy
+keeps both supports, so ``verify_star_sweep`` unions each support group
+over its cap-maximal pairs only, those that no extra copy fits within
+``max_mult`` and ``cap``.  Every pair of the group lies below one of them,
+so the group's union is unchanged, and their coupled sub-pairs include
+every skipped pair's, so ``_touching_table`` gets the same entries.  At
+cap 10 one ``oracle verify`` sweep makes 887, 344 and 5,470 union calls on
+``linear3``, ``linear3_ab`` and ``linear4``, against one per pair (3,574,
+2,263 and 17,630) without the rule.
+
 Matrices live as tuples of int bitmasks, one row per SOURCE basis vector,
 bit j = coefficient on target basis j; mat_mul therefore composes maps in
 diagram order.  GF(2) suffices because ext spaces between uniserials over
@@ -890,19 +903,40 @@ def verify_star_sweep(A: Algebra, cap: int = 12, max_mult: int = 2, max_support:
     0 -> U -> X -> V -> 0 must equal star(supp U, supp V).  Returns a report
     with any mismatches.  A bound that leaves nothing to check (cap < 2,
     max_mult < 1 or max_support < 1) is an ``InputError``, not a pass.
+
+    Domination rule: ``middle_summand_union`` is called on the cap-maximal
+    pairs only, those to which no single extra copy of one of their own
+    summands can be added within ``max_mult`` and ``cap``; every pair still
+    counts in ``pairs_checked``.  Each group's union is unchanged, because:
+
+    * a middle X of a class of (V, U), plus the added copy v, is the middle
+      of the class of (V + v, U) that is zero on v's pairs (split-off rule),
+      so union(V, U) is inside union(V + v, U), and likewise for U + u;
+    * adding a copy keeps both supports, so (V + v, U) is in the same group,
+      and adding copies while one fits ends at a maximal pair: every pair
+      lies below a maximal one of its group;
+    * the coupled sub-pairs of a pair are those of every pair above it, so
+      the maximal pairs fill ``_touching_table`` with the same entries.
     """
     _check_sweep_bound("cap", cap, 2)
     _check_sweep_bound("max_mult", max_mult, 1)
     _check_sweep_bound("max_support", max_support, 1)
     indecs = indecomposables(A)
-    modules = [(M, M.dim, _summand_mask(A, M.summands)) for M in _multisets(A, max_support, max_mult, cap)]
+    modules = []
+    for M in _multisets(A, max_support, max_mult, cap):
+        # the least dimension one more copy of a summand adds within max_mult; cap + 1 if none can
+        grow = min((u.length for u, m in Counter(M.summands).items() if m < max_mult), default=cap + 1)
+        modules.append((M, M.dim, _summand_mask(A, M.summands), grow))
     checked = 0
     by_support: dict[tuple[int, int], int] = {}  # (supp V, supp U) -> union of middle summands
-    for V, v_dim, v_supp in modules:
-        for U, u_dim, u_supp in modules:
-            if v_dim + u_dim > cap:
+    for V, v_dim, v_supp, v_grow in modules:
+        for U, u_dim, u_supp, u_grow in modules:
+            room = cap - v_dim - u_dim
+            if room < 0:
                 continue
             checked += 1
+            if room >= min(v_grow, u_grow):  # a larger pair of the group holds this one's union
+                continue
             key = v_supp, u_supp
             by_support[key] = by_support.get(key, 0) | middle_summand_union(A, V, U, cap)
 

@@ -83,6 +83,21 @@ def test_verdict_of_canned_series():
     assert bench_pairs.verdict([100.0] * 4, [106.0] * 4, BOUNDS["peak_rss_mb"]) == "worse"
 
 
+def test_claim_rule_of_canned_series():
+    # the parent's median is 1.0 and its quartiles 0.8125 and 1.1875: q3 - q1 = 0.375
+    parent = [1.0, 1.25, 0.75, 1.0, 1.5, 0.5, 1.0, 1.0, 1.25, 0.75]
+    assert bench_pairs.claim_met(parent, [0.25] * 10)
+    # 8 of 10 wins is short of nine tenths, however wide the gap
+    assert not bench_pairs.claim_met(parent, [0.25] * 8 + [2.0, 2.0])
+    # 9 of 10 wins: the tie with the parent's 0.5 counts for neither side
+    assert bench_pairs.claim_met(parent, [0.5] * 10)
+    # 9 of 10 wins, but a gap of 0.375 is no larger than the parent's spread
+    assert not bench_pairs.claim_met(parent, [0.625] * 10)
+    assert bench_pairs.claim_met(parent, [0.6] * 10)
+    # every pair won, by less than the spread
+    assert not bench_pairs.claim_met(parent, [p - 0.125 for p in parent])
+
+
 def test_summary_needs_two_pairs():
     pair = {"parent": bench_pairs.parse_run(_line(1.0)), "change": bench_pairs.parse_run(_line(1.0))}
     with pytest.raises(bench_pairs.RunError):

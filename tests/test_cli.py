@@ -269,7 +269,7 @@ def test_coghost_listing(capsys):
 
 def test_coghost_listing_refuses_long_lines_fast(capsys, tmp_path):
     # n(n - 1) AR arrows times n + m - 1 members of T_m, counted before T_m
-    # is indexed: linear2000 took 4.4 s to build T_m alone
+    # is built
     for n in (200, 2000):
         path = tmp_path / f"linear{n}.json"
         path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
@@ -281,6 +281,21 @@ def test_coghost_listing_refuses_long_lines_fast(capsys, tmp_path):
         # without the listing there is nothing to refuse
         if n == 200:
             assert run_cli(capsys, "coghost", "--algebra", str(path), "--m", "2")[0] == EXIT_OK
+
+
+def test_coghost_generator_answers_long_lines_fast(capsys, tmp_path):
+    # T_m is listed without indexing all n(n + 1)/2 indecomposables (2,001,000
+    # on linear2000); linear200's stdout was captured before that change
+    for n in (200, 2000):
+        path = tmp_path / f"linear{n}.json"
+        path.write_text(json.dumps({"shape": "linear", "n": n, "relation": None}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coghost", "--algebra", str(path), "--m", "2")
+        assert code == EXIT_OK and time.perf_counter() - start < 1.0, (n, err)
+        generator = ["1-1", "1-2", *(f"{i}-1" for i in range(2, n + 1))]
+        assert json.loads(out)["generator"] == generator
+        if n == 200:
+            assert out == golden("coghost_linear200_m2.json")
 
 
 def test_coghost_listing_answers_every_linear100(capsys, tmp_path, monkeypatch):

@@ -288,6 +288,32 @@ def test_tm_generator_members(linear):
     for bad in (0, 4, True, 2.0, 1.5):
         with pytest.raises(InputError):
             tm_generator(linear(4), bad)
+    # T_m's bits come from Kupisch prefix sums; the reference indexes every
+    # indecomposable.  Relations with c_1 < m refuse the interval (1, m).
+    for n in range(2, 7):
+        for A in all_linear_algebras(n):
+            for m in range(1, n):
+                if m > A.c(1):
+                    with pytest.raises(InputError):
+                        tm_generator(A, m)
+                    continue
+                members = morphisms.tm_members(A, m)
+                assert list(members) == sorted(members, key=lambda u: (u.top_vertex, u.length))
+                assert tm_generator(A, m) == IndecSet.of(A, members)
+                assert set(members) == {Uniserial(1, j) for j in range(1, m + 1)} | {simple(A, i) for i in range(1, n + 1)}
+
+
+def test_coghost_predicates_validate_a_hand_built_morphism(linear):
+    # each end is validated once, up front, before hom is read unchecked:
+    # M[1,5] is no module over linear4, on either end and for every T
+    A = linear(4)
+    good, bad = ModuleSum.of(simple(A, 1)), ModuleSum.of(Uniserial(1, 5))
+    for source, target in ((bad, good), (good, bad)):
+        f = Morphism(source, target, ((1,),))
+        for T in (IndecSet.full(A), simples_set(A), IndecSet.empty(A)):
+            for predicate in (is_coghost, is_ghost):
+                with pytest.raises(InputError):
+                    predicate(A, f, T)
 
 
 def test_irreducible_coghosts_examples(linear):

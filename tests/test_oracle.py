@@ -674,10 +674,58 @@ def test_star_sweep_small(linear):
 def test_star_sweep_support_three(linear, linear3_ab):
     # Sides of three summands reach gap bits that the support-2 sweeps never
     # build, so star's hom-support refutations meet the oracle here too.
-    for A, counts in ((linear(3), (12569, 1500)), (linear3_ab, (8089, 625))):
+    for A, counts in ((linear(3), (12569, 1500)), (linear3_ab, (8089, 625)), (linear(4), (94084, 15195))):
         report = verify_star_sweep(A, cap=10, max_mult=2, max_support=3)
         assert report["mismatches"] == [], (A.kupisch, report["mismatches"])
         assert (report["pairs_checked"], report["support_pairs"]) == counts
+
+
+def _every_pair_unions(A, cap, max_mult, max_support) -> dict:
+    """(supp V, supp U) -> the OR of ``middle_summand_union`` over every
+    sweep pair of the group: the sweep loop before the domination rule."""
+    modules = list(_multisets(A, max_support, max_mult, cap))
+    unions = {}
+    for V in modules:
+        for U in modules:
+            if V.dim + U.dim <= cap:
+                key = oracle._summand_mask(A, V.summands), oracle._summand_mask(A, U.summands)
+                unions[key] = unions.get(key, 0) | middle_summand_union(A, V, U, cap)
+    return unions
+
+
+def test_sweep_maximal_pairs_give_every_group_union(linear, linear3_ab, monkeypatch):
+    # The sweep calls middle_summand_union on the cap-maximal pairs of each
+    # support group only (the domination rule).  The OR of those calls per
+    # group must be the OR over every pair of the group, and the sweep must
+    # fill _touching_table with the coupled sub-pairs of every pair.
+    calls = []
+    original = oracle.middle_summand_union
+
+    def recording(A, V, U, cap):
+        union = original(A, V, U, cap)
+        calls.append((V, U, union))
+        return union
+
+    cases = ((linear(3), {"cap": 12, "max_mult": 3}, 2536), (linear3_ab, {"cap": 10, "max_support": 3}, 2384),
+             (linear(4), {"cap": 10}, 5470))
+    for A, kwargs, union_calls in cases:
+        bounds = {"max_mult": 2, "max_support": 2, **kwargs}
+        oracle._touching_table.cache_clear()
+        calls.clear()
+        monkeypatch.setattr(oracle, "middle_summand_union", recording)
+        report = verify_star_sweep(A, **bounds)
+        monkeypatch.undo()
+        swept_keys = set(oracle._touching_table(A))
+        got = {}
+        for V, U, union in calls:
+            key = oracle._summand_mask(A, V.summands), oracle._summand_mask(A, U.summands)
+            got[key] = got.get(key, 0) | union
+        # every pair's coupled sub-pairs are in the table already: the
+        # reference adds none (and the sweep's pairs are among its own)
+        want = _every_pair_unions(A, **bounds)
+        assert got == want, (A.kupisch, bounds)
+        assert set(oracle._touching_table(A)) == swept_keys
+        assert (len(calls), report["support_pairs"]) == (union_calls, len(want))
 
 
 def test_sweep_decomposes_each_coupled_pair_once(linear, linear3_ab, monkeypatch):

@@ -23,7 +23,10 @@ no-regression rule with each metric's ``bound`` from the change's
 * ``not_worse`` - neither.
 
 With ``--claim METRIC`` the summary becomes the file's ``claim``, otherwise
-the workload's entry under ``no_regression``.
+the workload's entry under ``no_regression``.  A claim's ``met`` applies the
+gain rule to METRIC: the change is better in at least nine tenths of the
+pairs (ties count for neither side), and the parent's median is above the
+change's by more than the parent's quartile distance q3 - q1.
 The pairs are appended to the file's ``pairs``; an existing file keeps its
 other keys, so one file collects a claim and several no-regression series.
 
@@ -127,6 +130,13 @@ def verdict(parent: list[float], change: list[float], bound: float) -> str:
     return "not_worse"
 
 
+def claim_met(parent: list[float], change: list[float]) -> bool:
+    """The gain rule of a claim (module docstring); lower is better."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return 10 * wins >= 9 * len(parent) and median - statistics.median(change) > q3 - q1
+
+
 def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
     """Per-side quartiles, change wins, median ratio and verdict of each
     metric; ``bounds`` maps each metric to its bound."""
@@ -219,7 +229,8 @@ def main(argv=None) -> int:
         series = (f"{args.pairs} alternating pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
                   f"--seconds {seconds} --trace 0")
         if args.claim:
-            bench["claim"] = {"workload": args.workload, "metric": args.claim, "series": series, **summary}
+            met = claim_met([p["parent"][args.claim] for p in pairs], [p["change"][args.claim] for p in pairs])
+            bench["claim"] = {"workload": args.workload, "metric": args.claim, "series": series, "met": met, **summary}
         else:
             bench.setdefault("no_regression", {})[args.workload] = {"series": series, **summary}
         bench.setdefault("pairs", []).extend(pairs)
