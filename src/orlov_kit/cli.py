@@ -249,7 +249,7 @@ def _cmd_coghost(args) -> int:
             raise RefusalError(
                 f"{A.n * (A.n - 1):,} AR arrows times {A.n + args.m - 1} generator members make "
                 f"{checks:,} coghost checks, above the limit of {COGHOST_CHECK_LIMIT:,} "
-                "(about 1.0 million a second)"
+                "(about 1.5 million a second)"
             )
     payload = {
         "algebra": _algebra_blurb(A),

@@ -198,9 +198,10 @@ PAIR_TABLE_LIMIT = 1 << 17
 
 #: refuse ``coghost --list-irreducible`` above this many (AR arrow, T_m
 #: member) checks: n(n - 1) arrows of hereditary linear n times the n + m - 1
-#: members.  Measured on one core (2-vCPU Xeon VM, Python 3.11), about 1.0
-#: million checks a second: linear100 (m = 2: 999,900 checks) 0.98-1.05 s,
-#: linear120 (1,727,880) 1.71-1.79 s.  Every linear100 answers (m = 99:
+#: members.  Measured on one core (2-vCPU Xeon VM, Python 3.11), about 1.5
+#: million checks a second, T_m's members decoded once: the whole CLI run on
+#: linear100 (m = 2: 999,900 checks) took 0.65-1.11 s, on linear120
+#: (1,727,880) 1.05-1.63 s, ten runs each.  Every linear100 answers (m = 99:
 #: 1,960,200).
 COGHOST_CHECK_LIMIT = 2_000_000
 

@@ -159,7 +159,12 @@ def is_coghost(A: Algebra, f: Morphism, T: IndecSet) -> bool:
     # each end once, so hom is read unchecked; T's members are valid by construction
     validate_module(A, f.source)
     validate_module(A, f.target)
-    for I in T.members():
+    return _coghost_against(A, f, T.members())
+
+
+def _coghost_against(A: Algebra, f: Morphism, members) -> bool:
+    """``is_coghost``'s test of a checked f against T's decoded members."""
+    for I in members:
         end_i = interval_end(A, I)
         if not any(_linear_hom_dim(u, I) for u in f.source.summands):
             continue
@@ -211,9 +216,15 @@ def tm_generator(A: Algebra, m: int) -> IndecSet:
 
 
 def irreducible_coghosts(A: Algebra, T: IndecSet) -> tuple[ARArrow, ...]:
-    """The AR arrows that are T-coghosts (classification by direct check)."""
+    """The AR arrows that are T-coghosts (classification by direct check).
+
+    T's members are decoded once for every arrow, and each arrow's ends are
+    validated when ``arrow_morphism`` builds it."""
+    _require_linear(A)
+    _check_algebra(A, T)
+    members = T.members()
     return tuple(
-        arrow for arrow in ar_quiver(A).arrows if is_coghost(A, arrow_morphism(A, arrow), T)
+        arrow for arrow in ar_quiver(A).arrows if _coghost_against(A, arrow_morphism(A, arrow), members)
     )
 
 

@@ -11,15 +11,9 @@ each other in tests:
 * Krull-Schmidt decomposition by hom counting against the indecomposables,
   whose hom matrix is unitriangular in the canonical order.
 
-The middle enumeration decomposes one extension class per orbit.  Classes
-of 0 -> U -> X -> V -> 0 are bit patterns over the summand pairs with
-nonzero ext, and permuting equal summands of V or of U is an automorphism
-of that end which permutes the pairs and carries each class to one with an
-isomorphic middle.  Patterns are visited in ascending order; the first of
-each orbit marks its whole orbit seen and is decomposed, the rest are
-skipped.  Marking costs at most |group| images per representative and
-nothing when every summand is distinct.  A pair with no ext at all builds
-no representation: its only middle is U + V.
+Classes of 0 -> U -> X -> V -> 0 are bit patterns over the summand pairs
+with nonzero ext.  A pair with no ext at all builds no representation: its
+only middle is U + V.
 
 Split-off rule.  A class that is zero on every pair involving a summand
 V_i has connecting data theta with no rows in V_i's block, so V_i's basis
@@ -50,10 +44,20 @@ run and columns in every U run are linearly independent, on some coupled
 sub-pair, with the matching complement, and ``middle_terms`` lists exactly
 those.  So only such classes are decomposed.  A run with more copies than
 partners on the other side has no independent rows, and its pair's entry
-is empty before any representation is built.  Independence survives
-permuting equal summands, so a skipped pattern marks no orbit.  At cap 10
-one sweep decomposes 311, 15 and 2,030 classes on ``linear3``,
-``linear3_ab`` and ``linear4``, against 749, 48 and 4,310 without the rule.
+is empty before any representation is built.
+
+Least rule.  A move acts on two copies s != t of one run: it swaps them,
+or adds copy s's row (V run) or column (U run) to copy t's.  Each move is
+one of the GL_k(F_2) automorphisms of the rank rule, so it keeps the middle
+up to isomorphism, and it keeps touching and independence.  The moves
+generate a finite group, so each orbit of touching, independent patterns
+has a least int, and no move makes that pattern smaller.
+``_touching_middles`` decomposes exactly the patterns that no single move
+makes smaller: every orbit's least pattern is among them, and each is a
+class of the pair, so the middles are all found and no false one is added.
+At cap 10 one sweep decomposes 100, 8 and 679 classes on ``linear3``,
+``linear3_ab`` and ``linear4``, against 749, 48 and 4,310 with the rank rule
+alone.
 
 Union rule.  The summands of all middles of (V, U) are supp V, supp U and
 the summands of the touching middles (those the rank rule keeps) of every
@@ -96,7 +100,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, permutations, product
 from typing import NamedTuple
 
 from .closure import IndecSet, _refuse_pair_table, star
@@ -598,21 +602,17 @@ def _summand_runs(V: ModuleSum, U: ModuleSum, pairs) -> list[tuple[int, int, int
     return runs
 
 
-def _orbit(bits: int, swaps) -> set[int]:
-    """Every image of a pattern under the group the ``swaps`` generate: each
-    swap (lo, stride) exchanges the bits ``lo`` with the bits ``lo << stride``,
-    two adjacent copies of one run."""
-    orbit = {bits}
-    todo = [bits]
-    while todo:
-        pattern = todo.pop()
-        for lo, stride in swaps:
-            delta = (pattern >> stride ^ pattern) & lo
-            image = pattern ^ delta ^ delta << stride
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
+def _least(bits: int, runs) -> bool:
+    """Whether no single move makes a pattern's int smaller (the least rule
+    of ``middle_terms``).  A move acts on two copies s != t of one run: it
+    swaps them, or adds copy s's row (V run) or column (U run) to copy t's."""
+    for mask, stride, copies in runs:
+        rows = [(bits >> t * stride) & mask for t in range(copies)]
+        for s, t in permutations(range(copies), 2):
+            flip = rows[s] ^ rows[t]
+            if bits ^ (rows[s] << t * stride) < bits or bits ^ (flip << s * stride | flip << t * stride) < bits:
+                return False
+    return True
 
 
 def _independent(bits: int, runs) -> bool:
@@ -661,9 +661,10 @@ class _EndPlan(NamedTuple):
     groups: tuple[tuple, ...]
 
 
+@lru_cache(maxsize=None)
 def _end_plan(A: Algebra, M: ModuleSum) -> _EndPlan:
-    """The plan of a validated end; a sweep holds one per multiset it draws,
-    in that multiset's ``_end`` record.
+    """The plan of a validated end within the cap; a sweep holds one per
+    multiset it draws.
 
     The key packs the count c_i of every indecomposable i in unary, lowest
     index first: c_i ones, then a zero.  For the sorted indices s_0 <= s_1
@@ -691,14 +692,6 @@ def _end_plan(A: Algebra, M: ModuleSum) -> _EndPlan:
     return _EndPlan(_summand_mask(A, M.summands), tuple(plan))
 
 
-@lru_cache(maxsize=None)
-def _end(A: Algebra, M: ModuleSum) -> list:
-    """[dim, plan] of a validated end, so that each end of a call costs one
-    cached lookup.  The plan starts as None: ``_checked_ends`` fills it in
-    after the cap check, since a plan lists every sub-multiset of its end."""
-    return [M.dim, None]
-
-
 def _checked_ends(A: Algebra, V, U, cap) -> tuple[ModuleSum, ModuleSum, _EndPlan, _EndPlan]:
     """(V, U) as modules and their plans, after the checks that
     ``middle_terms`` documents: each end is validated on every call, and
@@ -713,13 +706,10 @@ def _checked_ends(A: Algebra, V, U, cap) -> tuple[ModuleSum, ModuleSum, _EndPlan
             raise InputError(f"an extension end must be a ModuleSum or a Uniserial, got {end!r}")
     validate_module(A, V)  # each end once, and before the cap refusal
     validate_module(A, U)
-    v_end, u_end = _end(A, V), _end(A, U)
-    if v_end[0] + u_end[0] > cap:
-        raise RefusalError(f"middle dimension {v_end[0] + u_end[0]} exceeds cap {cap}")
-    for end, M in ((v_end, V), (u_end, U)):
-        if end[1] is None:
-            end[1] = _end_plan(A, M)
-    return V, U, v_end[1], u_end[1]
+    dim = V.dim + U.dim
+    if dim > cap:  # before the plans, since a plan lists every sub-multiset of its end
+        raise RefusalError(f"middle dimension {dim} exceeds cap {cap}")
+    return V, U, _end_plan(A, V), _end_plan(A, U)
 
 
 @lru_cache(maxsize=None)
@@ -752,20 +742,20 @@ def _coupled_sub_pairs(A: Algebra, pv: _EndPlan, pu: _EndPlan):
 
 def _touching_middles(A: Algebra, V: ModuleSum, U: ModuleSum) -> tuple[tuple[Uniserial, ...], ...]:
     """Middles of the classes of (V, U) that touch every summand of both
-    ends and pass the rank rule, decomposed once per orbit, as sorted
-    summand tuples (smaller to keep than ModuleSums in a set).  The caller
-    passes a pair in which every summand has an ext partner on the other
-    side, with validated ends.
+    ends and pass the rank rule, as sorted summand tuples (smaller to keep
+    than ModuleSums in a set).  The caller passes a pair in which every
+    summand has an ext partner on the other side, with validated ends.
 
-    The rank rule (proved in ``middle_terms``) skips a pattern whose rows
-    on a run of equal V summands, or columns on a run of equal U summands,
-    are linearly dependent: an automorphism of that end carries it to a
-    class with an untouched copy, whose middle the split-off rule lists
-    from a smaller sub-pair.  Touching every summand and independence are
-    both invariant under permuting equal summands, so they are tested first
-    and only the patterns that pass mark orbits.  An outnumbered run
-    (``_outnumbered``) fails the rank rule in every pattern, so such a pair
-    builds nothing and its entry is empty.
+    Each pattern is decided on its own, from ``bits``, ``covers`` and
+    ``runs``.  The rank rule (proved in ``middle_terms``) skips a pattern
+    whose rows on a run of equal V summands, or columns on a run of equal U
+    summands, are linearly dependent: an automorphism of that end carries it
+    to a class with an untouched copy, whose middle the split-off rule lists
+    from a smaller sub-pair.  The least rule (``_least``, proved in
+    ``middle_terms``) skips a pattern that one move between two copies of a
+    run makes smaller: its orbit's least pattern has the same middle.  An
+    outnumbered run (``_outnumbered``) fails the rank rule in every pattern,
+    so such a pair builds nothing and its entry is empty.
     """
     if _outnumbered(A, V, U):
         return ()
@@ -775,15 +765,10 @@ def _touching_middles(A: Algebra, V: ModuleSum, U: ModuleSum) -> tuple[tuple[Uni
         covers[i] |= 1 << idx
         covers[len(V.summands) + j] |= 1 << idx
     runs = _summand_runs(V, U, pairs)
-    swaps = [(mask << t * stride, stride) for mask, stride, copies in runs for t in range(copies - 1)]
-    seen: set[int] = set()
     middles = set()
     for bits in range(1, 1 << len(pairs)):
-        if not all(map(bits.__and__, covers)) or bits in seen or not _independent(bits, runs):
-            continue
-        if swaps:
-            seen |= _orbit(bits, swaps)
-        middles.add(decompose(_build_middle(Urep, Vrep, pairs, bits)))
+        if all(map(bits.__and__, covers)) and _least(bits, runs) and _independent(bits, runs):
+            middles.add(decompose(_build_middle(Urep, Vrep, pairs, bits)))
     return tuple(M.summands for M in middles)
 
 
@@ -808,19 +793,8 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     every untouched summand leaves the touched sub-pair, which is coupled,
     and its restricted pattern touches all of it; conversely every
     touching class of a sub-pair is a class of (V, U), zero off the
-    sub-pair.  Which copies of an equal summand V' takes does not matter,
-    by the orbit rule below.
-
-    Orbit rule: permuting equal summands of V, and of U, is an automorphism
-    of each end, and it carries a class to one with an isomorphic middle; on
-    patterns it permutes the pair indices.  Patterns are taken in ascending
-    order; an unseen one is decomposed after its whole orbit under those
-    permutations is marked seen, and a marked one is skipped.  So each orbit
-    is decomposed once.  The orbit is the closure under the transpositions
-    of adjacent equal summands, so a representative costs at most |group|
-    images, each tried against every transposition; when all summands are
-    distinct the group is trivial and nothing is marked.  A nonzero orbit
-    of (V, U) is one sub-pair (V', U') and one touching orbit of it.
+    sub-pair.  Which copies of an equal summand V' takes does not matter:
+    permuting equal summands is an automorphism of that end.
 
     Rank rule: only the touching classes of (V', U') whose rows on every
     run of equal V' summands and columns on every run of equal U' summands
@@ -832,9 +806,23 @@ def middle_terms(A: Algebra, V: ModuleSum, U: ModuleSum, cap: int = 12) -> froze
     the same way.  Dependent rows let some g zero one row, and the split-off
     rule then gives middle = v + the middle of a class on a sub-pair with
     one summand fewer, which, by induction on the number of summands
-    touched, is already listed here with the matching complement.  So on a
-    cold ``_touching_table`` a call decomposes once per nonzero orbit whose
-    touched runs are independent; a warm table serves every sub-pair seen
+    touched, is already listed here with the matching complement.
+
+    Least rule: of the touching, independent classes of (V', U'), only
+    those that no single move makes smaller as ints are decomposed.  A move
+    acts on two copies s != t of one run: it swaps them, or adds copy s's
+    row (V run) or column (U run) to copy t's.  Proof: each move is an
+    automorphism of one end, one of the GL_k mixings of the rank rule, so
+    it keeps the middle up to isomorphism.  A swap permutes the copies of a
+    run, and an addition multiplies the pattern matrix by an invertible
+    matrix on one side, so both keep every run's rank.  An addition changes
+    copy t alone, and its entry against a summand w of the other end only
+    where copy s's entry against w is nonzero, so every w stays touched,
+    and so does copy t, by independence.  So moves keep touching and
+    independence, each orbit under the group they generate is finite, and
+    its least pattern, which no move makes smaller, passes the test.  Every
+    pattern kept is a class of (V', U'), so the middles are exactly those of
+    the rank rule.  A warm ``_touching_table`` serves every sub-pair seen
     before.
 
     ``cap`` must be an integer; a pair with V.dim + U.dim above it is

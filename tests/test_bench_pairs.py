@@ -156,3 +156,39 @@ def test_parse_traced_prefixes_one_workload_and_refuses_a_bad_run():
                                "ospec_relation.morphisms.compose.self_s": 0.5}}
     with pytest.raises(bench_pairs.RunError):
         bench_pairs.parse_traced(_traced({}, {}, correct=False), "", "all")
+
+
+def test_runs_start_without_bytecode(tmp_path, monkeypatch):
+    # every __pycache__ under src/ and perfbench/ goes, nested ones too;
+    # the rest of the checkout is left alone
+    caches = [tmp_path / "src" / "pkg" / "__pycache__", tmp_path / "perfbench" / "__pycache__",
+              tmp_path / "src" / "pkg" / "sub" / "__pycache__"]
+    kept = tmp_path / "tests" / "__pycache__"
+    for cache in (*caches, kept):
+        cache.mkdir(parents=True)
+        (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    assert bench_pairs.clear_bytecode(tmp_path) == sorted(caches)
+    assert not any(cache.exists() for cache in caches)
+    assert (kept / "mod.cpython-311.pyc").exists() and (tmp_path / "src" / "pkg" / "mod.py").exists()
+    assert bench_pairs.clear_bytecode(tmp_path) == []
+    # a checkout without src/ or perfbench/ is no error
+    (tmp_path / "bare").mkdir()
+    assert bench_pairs.clear_bytecode(tmp_path / "bare") == []
+
+    # each run inherits the environment and writes no bytecode
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    seen = []
+
+    class Done:
+        returncode = 0
+        stdout = _line(1.0)
+        stderr = ""
+
+    def fake_run(argv, **kwargs):
+        seen.append(kwargs["env"])
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs._run(tmp_path, "w", 1, 30)["wall_s"] == 1.0
+    assert seen[0]["PYTHONDONTWRITEBYTECODE"] == "1" and seen[0]["BENCH_PAIRS_PROBE"] == "kept"

@@ -34,7 +34,7 @@ from orlov_kit import (
 from conftest import all_linear_algebras
 from orlov_kit import morphisms
 from orlov_kit.closure import _bits, _union
-from orlov_kit.homext import ARArrow, interval_end
+from orlov_kit.homext import ARArrow, ar_quiver, interval_end
 from orlov_kit.morphisms import (
     Morphism,
     approximation_kernel,
@@ -320,6 +320,29 @@ def test_irreducible_coghosts_examples(linear):
     A = linear(2)
     assert irreducible_coghosts(A, tm_generator(A, 1)) == (ARArrow("+", 2, 2),)
     assert irreducible_coghosts(A, IndecSet.full(A)) == ()
+
+
+def test_irreducible_coghosts_decode_members_once(linear, monkeypatch):
+    # the listing is the AR arrows that is_coghost accepts, with T's members
+    # decoded once per listing rather than once per arrow
+    A = linear(4)
+    arrows = ar_quiver(A).arrows
+    rng = random.Random(11)
+    decoded = []
+    original = IndecSet.members
+
+    def counting(self):
+        decoded.append(self)
+        return original(self)
+
+    full = (1 << len(indecomposables(A))) - 1
+    for T in [tm_generator(A, m) for m in (1, 2, 3)] + [IndecSet(A, rng.randrange(full + 1)) for _ in range(40)]:
+        want = tuple(arrow for arrow in arrows if is_coghost(A, arrow_morphism(A, arrow), T))
+        monkeypatch.setattr(IndecSet, "members", counting)
+        decoded.clear()
+        assert irreducible_coghosts(A, T) == want, T
+        assert decoded == [T]
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

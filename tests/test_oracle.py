@@ -356,24 +356,71 @@ def _touched_runs_independent(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> b
     return True
 
 
+def _move_orbits(V: ModuleSum, U: ModuleSum, pairs, patterns) -> list[list[int]]:
+    """The given bit patterns over ``pairs`` grouped into their orbits under
+    the moves of the least rule of ``middle_terms``: for two positions
+    s != t of one summand on either end, swap them, or add s's row (V) or
+    column (U) to t's.  Each orbit is the closure under the moves, read from
+    the pairs alone (reference for ``_least``)."""
+    index = {(i, j): idx for idx, (i, j, _) in enumerate(pairs)}
+    moves = []  # (bits of copy s, the matching bits of copy t), bit by bit
+    for side, summands in enumerate((V.summands, U.summands)):
+        for s, t in itertools.permutations(range(len(summands)), 2):
+            if summands[s] == summands[t]:
+                moves.append([(idx, index[(t, j) if side == 0 else (i, t)])
+                              for (i, j), idx in index.items() if (i, j)[side] == s])
+
+    def images(bits: int):
+        for move in moves:
+            swap = add = bits
+            for lo, hi in move:
+                flip = (bits >> lo ^ bits >> hi) & 1
+                swap ^= flip << lo | flip << hi
+                add ^= (bits >> lo & 1) << hi
+            yield from (swap, add)
+
+    seen: set[int] = set()
+    orbits: list[list[int]] = []
+    for bits in patterns:
+        if bits in seen:
+            continue
+        orbit, todo = {bits}, [bits]
+        while todo:
+            for image in images(todo.pop()):
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def _touches_all(V: ModuleSum, U: ModuleSum, pairs, bits: int) -> bool:
+    """Whether a pattern touches every summand of both ends."""
+    touched = {(0, i) for idx, (i, _, _) in enumerate(pairs) if bits >> idx & 1}
+    touched |= {(1, j) for idx, (_, j, _) in enumerate(pairs) if bits >> idx & 1}
+    return len(touched) == len(V.summands) + len(U.summands)
+
+
 def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
-    # middle_terms decomposes one pattern per orbit under permutations of
-    # equal summands, and only patterns whose touched runs are independent.
     # On a seeded sample of sweep pairs with at least two ext pairs,
-    # decompose every bit pattern: patterns in one orbit must share their
-    # middle and their independence, middle_terms must return exactly the
-    # middles of all patterns, and it must call decompose once per nonzero
-    # orbit whose touched runs are independent.
+    # decompose every bit pattern: patterns in one orbit under permutations
+    # of equal summands must share their middle and their independence, and
+    # middle_terms must return exactly the middles of all patterns.  The
+    # least rule: touching every summand and independence are the same on
+    # each orbit under the moves, and every such orbit of touching,
+    # independent patterns of the pair has its least pattern decomposed,
+    # among the pair's own patterns only touching, independent ones.
     rng = random.Random(9)
-    merged = skipped = 0
-    calls = []
-    original = oracle.decompose
+    merged = skipped = cut = 0
+    built = []
+    original = oracle._build_middle
 
-    def counting(X):
-        calls.append(X)
-        return original(X)
+    def recording(Urep, Vrep, pairs, bits):
+        built.append((Urep, Vrep, bits))
+        return original(Urep, Vrep, pairs, bits)
 
-    monkeypatch.setattr(oracle, "decompose", counting)
+    monkeypatch.setattr(oracle, "_build_middle", recording)
     for A, max_mult in ((linear(3), 3), (linear(4), 2)):
         modules = list(_multisets(A, 2, max_mult, 12))
         sampled = 0
@@ -386,28 +433,39 @@ def test_middle_terms_dedup_matches_every_pattern(linear, monkeypatch):
                 continue
             sampled += 1
             orbits = _pattern_orbits(V, U, pairs)
+            ranked = [_touched_runs_independent(V, U, pairs, bits) for bits in range(1 << len(pairs))]
             middles = []
             independent = 0
             for orbit in orbits:
-                found = {original(_build_middle(Urep, Vrep, pairs, bits)) for bits in orbit}
+                found = {decompose(original(Urep, Vrep, pairs, bits)) for bits in orbit}
                 assert len(found) == 1, (A.kupisch, V, U, orbit)
                 middles.append(found.pop())
-                ranks = {_touched_runs_independent(V, U, pairs, bits) for bits in orbit}
+                ranks = {ranked[bits] for bits in orbit}
                 assert len(ranks) == 1, (A.kupisch, V, U, orbit)
                 independent += orbit != [0] and ranks.pop()
-            oracle._touching_table.cache_clear()  # count on a cold table
-            calls.clear()
+            oracle._touching_table.cache_clear()  # decompose on a cold table
+            built.clear()
             assert middle_terms(A, V, U) == frozenset(middles), (A.kupisch, V, U)
-            assert len(calls) == independent, (A.kupisch, V, U)
+            own = {bits for X, Y, bits in built if (X, Y) == (Urep, Vrep)}
+            passing = {bits for bits in range(1 << len(pairs)) if ranked[bits] and _touches_all(V, U, pairs, bits)}
+            assert own <= passing, (A.kupisch, V, U)
+            # the moves are involutions, so an orbit that leaves ``passing``
+            # nowhere keeps touching and independence both ways
+            for orbit in _move_orbits(V, U, pairs, sorted(passing)):
+                assert passing.issuperset(orbit), (A.kupisch, V, U, orbit)
+                assert orbit[0] in own, (A.kupisch, V, U, orbit)
             merged += len(orbits) < 1 << len(pairs)
             skipped += independent < len(orbits) - 1
-    assert merged > 0 and skipped > 0  # both rules cut patterns on this sample
+            cut += len(own) < len(passing)
+    assert merged > 0 and skipped > 0 and cut > 0  # every rule cuts patterns on this sample
 
 
 def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
     # V = S1 + S1, U = S2 + S2 + M[2,3]: six ext pairs, 63 nonzero patterns
     # in 23 orbits under the group of order 4, of which 13 have independent
-    # touched runs.
+    # touched runs.  The moves of the least rule merge further: the 18
+    # touching, independent patterns of the pair form one orbit, and only
+    # its least is built, so with the sub-pairs 6 patterns are decomposed.
     A = linear(3)
     V = ModuleSum.of(Uniserial(1, 1), Uniserial(1, 1))
     U = ModuleSum.of(Uniserial(2, 1), Uniserial(2, 1), Uniserial(2, 2))
@@ -415,17 +473,28 @@ def test_middle_terms_decomposes_each_orbit_once(linear, monkeypatch):
     orbits = _pattern_orbits(V, U, pairs)
     assert len(orbits) - 1 == 23
     assert sum(_touched_runs_independent(V, U, pairs, orbit[0]) for orbit in orbits[1:]) == 13
+    passing = [bits for bits in range(1 << len(pairs))
+               if _touches_all(V, U, pairs, bits) and _touched_runs_independent(V, U, pairs, bits)]
+    (orbit,) = _move_orbits(V, U, pairs, passing)
+    assert sorted(orbit) == passing and len(passing) == 18
+    built = []
     calls = []
-    original = oracle.decompose
+    original_build, original = oracle._build_middle, oracle.decompose
+
+    def recording(X, Y, pairs, bits):
+        built.append((X, Y, bits))
+        return original_build(X, Y, pairs, bits)
 
     def counting(X):
         calls.append(X)
         return original(X)
 
+    monkeypatch.setattr(oracle, "_build_middle", recording)
     monkeypatch.setattr(oracle, "decompose", counting)
     oracle._touching_table.cache_clear()  # count on a cold table
     middles = middle_terms(A, V, U)
-    assert len(calls) == 13
+    assert [bits for X, Y, bits in built if (X, Y) == (Urep, Vrep)] == [orbit[0]]
+    assert len(calls) == 6
     assert len(middles) == 5
 
 
@@ -467,14 +536,16 @@ def test_middle_terms_split_off_rule(linear, linear3_ab):
         assert dependent > 0, A.kupisch
 
 
-def test_rank_rule_matches_every_pattern(linear, monkeypatch):
-    # The rank rule decomposes only patterns whose touched runs are
-    # independent.  On every coupled sub-pair that a sweep decomposes, the
-    # middles of all its bit patterns, each decomposed, must be exactly
-    # middle_terms.  linear3 at max_mult=3 has runs of three equal
-    # summands, where distinct rows can still be dependent (a, b, a + b);
-    # its cap is 8, where 96 of the 202 pairs hold such a run, since cap 10
-    # has ten times the patterns (223,782).
+def test_rank_rule_matches_every_pattern(linear, linear3_ab, monkeypatch):
+    # The rank and least rules decompose only patterns whose touched runs
+    # are independent and that no move makes smaller.  On every coupled
+    # sub-pair that a sweep decomposes, the middles of all its bit patterns,
+    # each decomposed, must be exactly middle_terms.  linear3 at max_mult=3
+    # has runs of three equal summands, where distinct rows can still be
+    # dependent (a, b, a + b); its cap is 8, where 96 of the 202 pairs hold
+    # such a run, since cap 10 has ten times the patterns (223,782).
+    # linear3_ab puts a relation algebra under the same reference.  The
+    # sub-pair and pattern counts of each sweep are pinned.
     coupled = []
     original = oracle._touching_middles
 
@@ -483,17 +554,21 @@ def test_rank_rule_matches_every_pattern(linear, monkeypatch):
         return original(A, V, U)
 
     monkeypatch.setattr(oracle, "_touching_middles", recording)
-    for A, max_mult, cap in ((linear(3), 3, 8), (linear(4), 2, 10)):
+    for A, max_mult, cap, counts in ((linear(3), 3, 8, (202, 22566)), (linear(4), 2, 10, (861, 45410)),
+                                     (linear3_ab, 3, 8, (68, 7736))):
         oracle._touching_table.cache_clear()
         coupled.clear()
         verify_star_sweep(A, cap=cap, max_mult=max_mult, max_support=2)
         swept = list(coupled)
         if max_mult == 3:
             assert any(3 in map(M.summands.count, M.summands) for pair in swept for M in pair)
+        patterns = 0
         for V, U in swept:
             Urep, Vrep, pairs = _ext_pair_structure(A, V, U)
+            patterns += 1 << len(pairs)
             every = {decompose(_build_middle(Urep, Vrep, pairs, bits)) for bits in range(1 << len(pairs))}
             assert middle_terms(A, V, U, cap) == every, (A.kupisch, V, U)
+        assert (len(swept), patterns) == counts, A.kupisch
 
 
 def test_outnumbered_run_builds_nothing(linear, monkeypatch):

@@ -9,6 +9,12 @@ from each checkout, one run at a time; the parent goes first on even i and
 the change on odd i.  R is ``run_seconds`` from the change's
 ``BENCHMARK.json``, so both sides run as long as the benchmark says.
 
+Both sides start alike: before the first run the tool removes every
+``__pycache__`` directory under each checkout's ``src/`` and
+``perfbench/``, and every run gets ``PYTHONDONTWRITEBYTECODE=1``, so no
+side reads bytecode that an earlier launch left behind (cached bytecode
+lowers ``setup_s`` and ``peak_rss_mb``).
+
 The summary has each side's median, q1 and q3 (inclusive quartiles) of every
 end-to-end metric, the pairs the change won (lower is better for all of
 them, ties count for neither side), the ratio of the medians, a verdict,
@@ -49,6 +55,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +63,8 @@ from pathlib import Path
 
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+#: the directories of a checkout whose bytecode a run would load
+CODE_DIRS = ("src", "perfbench")
 
 
 class RunError(Exception):
@@ -173,6 +182,15 @@ def _commit(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def clear_bytecode(checkout: Path) -> list[Path]:
+    """Remove every ``__pycache__`` directory under the checkout's
+    ``CODE_DIRS``; returns those removed."""
+    caches = sorted(cache for sub in CODE_DIRS for cache in (checkout / sub).rglob("__pycache__") if cache.is_dir())
+    for cache in caches:
+        shutil.rmtree(cache)
+    return caches
+
+
 def _argv(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
     return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -180,7 +198,8 @@ def _argv(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, *_argv(workload, seed, seconds, trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RunError(f"{checkout}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
     try:
@@ -208,6 +227,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    for path in checkouts.values():
+        clear_bytecode(path)
     pairs = []
     try:
         for i in range(args.pairs):
