@@ -317,8 +317,8 @@ def _equal_summand_perms(M: ModuleSum):
 
 def _pattern_orbits(V: ModuleSum, U: ModuleSum, pairs) -> list[list[int]]:
     """Bit patterns over ``pairs`` grouped into orbits under the full group
-    of permutations of equal summands on either side (reference for the
-    orbit rule of ``middle_terms``)."""
+    of permutations of equal summands on either side: automorphisms of the
+    ends, so each orbit shares its middle (the swap moves of ``_least``)."""
     index = {(i, j): idx for idx, (i, j, _) in enumerate(pairs)}
     images = [
         [index[pv[i], pu[j]] for i, j, _ in pairs]
