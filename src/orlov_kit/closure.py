@@ -230,7 +230,7 @@ class IndecSet:
 
     @staticmethod
     def full(A: Algebra) -> "IndecSet":
-        return IndecSet(A, (1 << len(indecomposables(A))) - 1)
+        return IndecSet(A, (1 << A.dimension) - 1)
 
     @staticmethod
     def of(A: Algebra, members: Iterable[Uniserial]) -> "IndecSet":
@@ -270,7 +270,7 @@ class IndecSet:
 
     @property
     def is_full(self) -> bool:
-        return self.mask == (1 << len(indecomposables(self.algebra))) - 1
+        return self.mask == (1 << self.algebra.dimension) - 1
 
     def _check_same(self, other: "IndecSet") -> None:
         if self.algebra != other.algebra:
@@ -321,8 +321,10 @@ def _window_tables(A: Algebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _union(table: tuple[int, ...], mask: int) -> int:
     out = 0
-    for k in _bits(mask):
-        out |= table[k]
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -560,7 +562,7 @@ def generation_time(A: Algebra, T: IndecSet):
     """Least n with [T]_{n+1} = all indecomposables; INFINITE if never
     reached.  The spectrum scan asks once per T, so the walk is not kept."""
     _check_algebra(A, T)
-    full = IndecSet.full(A).mask
+    full = (1 << A.dimension) - 1
     for n, level in enumerate(_walk(A, T.mask)):
         if level == full:
             return n
@@ -636,42 +638,80 @@ def _dual_table(A: Algebra) -> tuple[int, ...] | None:
     return tuple(table)
 
 
+#: the most optional bits that `_scan_table`'s rows cover: 2^10 rows at most.
+_LOW_BITS = 10
+
+
+@lru_cache(maxsize=None)
+def _scan_table(A: Algebra, dual: tuple[int, ...] | None):
+    """(optional, rows): the indecomposables that are not forced, in index
+    order, and per subset j of the lowest min(#optional, _LOW_BITS) of them
+    the row (mask, tops, socles, dual mask), the dual mask 0 when ``dual``
+    is None.  Built by doubling: the rows with bit i of j set are the
+    earlier rows with optional[i] added."""
+    top_bit, soc_bit, required = _enumeration_tables(A)
+    optional = tuple(k for k in range(A.dimension) if not required >> k & 1)
+    rows = [(0, 0, 0, 0)]
+    for k in optional[:_LOW_BITS]:
+        bit, top, soc = 1 << k, top_bit[k], soc_bit[k]
+        dk = dual[k] if dual is not None else 0
+        rows += [(m | bit, t | top, s | soc, d | dk) for m, t, s, d in rows]
+    return optional, tuple(rows)
+
+
 def _scan_masks(A: Algebra, sub_lo: int, sub_hi: int):
     """Enumerate generator candidates with optional-part index in [sub_lo, sub_hi).
 
-    A candidate T is skipped when mask(DT) < mask(T): gt(DT) = gt(T), and
-    the module docstring shows the skip keeps every time and witness.
+    Subset j of the optional (non-forced) indecomposables is the candidate T
+    whose mask is the forced bits plus optional[i] for each bit i of j.  A
+    candidate is skipped unless its tops and socles cover every vertex, and
+    when mask(DT) < mask(T): gt(DT) = gt(T), and the module docstring shows
+    the skip keeps every time and witness.
+
+    The mask, tops, socles and dual mask of T are ors over its bits, so each
+    splits into a low part, read from the `_scan_table` rows of the lowest
+    L = min(#optional, _LOW_BITS) bits (at most 2^10 rows, whatever the
+    algebra), and a high part, built with one bit loop per block of 2^L
+    consecutive subsets.  A candidate then costs a few ors and compares.
+    Blocks are visited in order and rows in order within each, so the
+    candidates reach `generation_time` in index order, and the range need
+    not start or end on a block edge.
     Returns (times_seen, {time: smallest full mask achieving it}).
     """
     top_bit, soc_bit, required = _enumeration_tables(A)
     dual = _dual_table(A)
-    count = len(indecomposables(A))
-    optional = [k for k in range(count) if not required >> k & 1]
+    optional, rows = _scan_table(A, dual)
+    low = len(rows).bit_length() - 1
     all_vertices = (1 << A.n) - 1
     times: set[int] = set()
     witness: dict[int, int] = {}
     req_tops, req_socs = _union(top_bit, required), _union(soc_bit, required)
-    for sub in range(sub_lo, sub_hi):
-        mask = required
-        tops, socs = req_tops, req_socs
-        rest = sub
+    req_dual = _union(dual, required) if dual is not None else 0
+    for block in range(sub_lo >> low, -(-sub_hi >> low)):
+        high, tops, socs, dmask = required, req_tops, req_socs, req_dual
+        rest = block
         while rest:
-            low = rest & -rest
-            k = optional[low.bit_length() - 1]
-            rest ^= low
-            mask |= 1 << k
+            bit = rest & -rest
+            k = optional[low + bit.bit_length() - 1]
+            rest ^= bit
+            high |= 1 << k
             tops |= top_bit[k]
             socs |= soc_bit[k]
-        if tops != all_vertices or socs != all_vertices:
-            continue
-        if dual is not None and _union(dual, mask) < mask:
-            continue
-        t = generation_time(A, IndecSet(A, mask))
-        if t is INFINITE:
-            continue
-        times.add(t)
-        if t not in witness or mask < witness[t]:
-            witness[t] = mask
+            if dual is not None:
+                dmask |= dual[k]
+        base = block << low
+        for lmask, ltops, lsocs, ldual in rows[max(sub_lo - base, 0):sub_hi - base]:
+            if ltops | tops != all_vertices or lsocs | socs != all_vertices:
+                continue
+            mask = lmask | high
+            if dual is not None and ldual | dmask < mask:
+                continue
+            t = generation_time(A, IndecSet(A, mask))
+            if t is INFINITE:
+                continue
+            times.add(t)
+            if t not in witness or mask < witness[t]:
+                witness[t] = mask
     return times, witness
 
 

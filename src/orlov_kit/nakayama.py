@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 LINEAR = "linear"
@@ -68,11 +68,29 @@ class Algebra:
     descriptor: AlgebraDescriptor
     kupisch: tuple[int, ...]
 
+    # Every lru_cache key and IndecSet hashes its algebra, so the hash and
+    # the invariants below are computed once per instance and kept in its
+    # __dict__ (cached_property writes there, past the frozen __setattr__).
+    # The hash is the one the dataclass would give, (descriptor, kupisch);
+    # it hashes the shape string, which differs between interpreters with
+    # other PYTHONHASHSEEDs, so __reduce__ pickles the fields alone and an
+    # unpickled copy hashes afresh.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.descriptor, self.kupisch))
+
+    def __reduce__(self):
+        return Algebra, (self.descriptor, self.kupisch)
+
     @property
     def shape(self) -> str:
         return self.descriptor.shape
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.descriptor.n
 
@@ -80,7 +98,7 @@ class Algebra:
     def relation(self) -> Relation | None:
         return self.descriptor.relation
 
-    @property
+    @cached_property
     def is_linear(self) -> bool:
         return self.descriptor.shape == LINEAR
 
@@ -88,7 +106,7 @@ class Algebra:
         """Kupisch entry c_vertex = dim P(vertex)."""
         return self.kupisch[vertex - 1]
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         """dim of the algebra = sum of the projective lengths."""
         return sum(self.kupisch)

@@ -270,6 +270,18 @@ def test_star_duality():
             assert star_mask(A, left, right) == _union(to_a, dual), (A, left, right)
 
 
+def _merged_scan(scan, A, cuts):
+    """(times, witnesses) of ``scan`` over the chunks between the cuts,
+    merged as `orlov_spectrum` merges its workers' chunks."""
+    times, witness = set(), {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        part_times, part_witness = scan(A, lo, hi)
+        times |= part_times
+        for t, mask in part_witness.items():
+            witness[t] = min(mask, witness.get(t, mask))
+    return times, witness
+
+
 def test_scan_duality_skip_is_exact(monkeypatch):
     # _scan_masks skips T when mask(DT) < mask(T).  The table must be D
     # exactly where the reversal maps the indecomposables to themselves,
@@ -299,15 +311,6 @@ def test_scan_duality_skip_is_exact(monkeypatch):
         scanned.append(T.mask)
         return generation_time(A, T)
 
-    def merged(A, cuts):
-        times, witness = set(), {}
-        for lo, hi in zip(cuts, cuts[1:]):
-            part_times, part_witness = closure._scan_masks(A, lo, hi)
-            times |= part_times
-            for t, mask in part_witness.items():
-                witness[t] = min(mask, witness.get(t, mask))
-        return times, witness
-
     monkeypatch.setattr(closure, "generation_time", counted)
     for A in fixed[1:]:
         total = 1 << A.dimension - len(closure._forced_vertices(A))
@@ -321,9 +324,100 @@ def test_scan_duality_skip_is_exact(monkeypatch):
         self_dual = sum(_union(dual, mask) == mask for mask in reference)
         for cuts in splits:
             scanned.clear()
-            assert merged(A, cuts) == want, (A.kupisch, cuts)
+            assert _merged_scan(closure._scan_masks, A, cuts) == want, (A.kupisch, cuts)
             # one call per orbit {T, DT} of the candidates
             assert len(scanned) == (len(reference) + self_dual) // 2, (A.kupisch, cuts)
+
+
+def _reference_scan(A, sub_lo, sub_hi):
+    # The per-subset scan that the split tables replaced: one bit loop per
+    # subset rebuilds its mask, tops and socles, and the dual mask is a
+    # union over every bit of the mask.
+    top_bit, soc_bit, required = closure._enumeration_tables(A)
+    dual = closure._dual_table(A)
+    optional = [k for k in range(A.dimension) if not required >> k & 1]
+    all_vertices = (1 << A.n) - 1
+    times, witness = set(), {}
+    for sub in range(sub_lo, sub_hi):
+        mask = required | sum(1 << optional[i] for i in _bits(sub))
+        if _union(top_bit, mask) != all_vertices or _union(soc_bit, mask) != all_vertices:
+            continue
+        if dual is not None and _union(dual, mask) < mask:
+            continue
+        t = closure.generation_time(A, IndecSet(A, mask))
+        if t is INFINITE:
+            continue
+        times.add(t)
+        if t not in witness or mask < witness[t]:
+            witness[t] = mask
+    return times, witness
+
+
+def test_scan_tables_match_the_per_subset_scan(monkeypatch):
+    # _scan_masks reads each candidate from a low row and a high row; it
+    # must pass the same candidates to generation_time, in the same order,
+    # and give the same times and witnesses as the per-subset scan, on any
+    # chunking (chunk edges need not be block edges), with the reversal
+    # skip and without it.
+    def alg(n, rel=None):
+        return build_algebra(LINEAR, n, Relation(*rel) if rel else None)
+
+    algebras = [alg(n) for n in range(1, 6)] + [alg(4, rel) for rel in ((1, 2), (2, 2), (1, 3))]
+    seen = []
+    memo = {}
+
+    def recorded(A, T):
+        seen.append(T.mask)
+        if (A, T.mask) not in memo:
+            memo[A, T.mask] = generation_time(A, T)
+        return memo[A, T.mask]
+
+    def merged(scan, A, cuts):
+        seen.clear()
+        return (*_merged_scan(scan, A, cuts), list(seen))
+
+    monkeypatch.setattr(closure, "generation_time", recorded)
+    for A in algebras:
+        optional = A.dimension - len(closure._forced_vertices(A))
+        total = 1 << optional
+        edge = 1 << min(optional, closure._LOW_BITS)
+        if edge == total:  # one block: cut at the middle instead
+            edge = total // 2
+        chunkings = [[0, total], [0, total // 3, total // 2 + 1, total]]
+        if total >= 4:
+            # 1-subset chunks on both sides of a block edge, and one across it
+            chunkings += [[0, edge - 1, edge, edge + 1, total], [0, edge - 1, edge + 1, total]]
+        for no_dual in (False, True):
+            with monkeypatch.context() as m:
+                if no_dual:
+                    m.setattr(closure, "_dual_table", lambda A: None)
+                want = merged(_reference_scan, A, [0, total])
+                assert want[0], (A, no_dual)
+                for cuts in chunkings:
+                    assert merged(closure._scan_masks, A, cuts) == want, (A, no_dual, cuts)
+
+
+def test_scan_table_size_does_not_grow_with_n():
+    # The low table covers at most _LOW_BITS optional bits, so a line far
+    # past the ospec refusal scans a small range at once: a 64-subset range
+    # at the top of linear12's 2^76 subsets, and the bottom of linear26's
+    # 2^349 (351 indecomposables, under PAIR_TABLE_LIMIT), whose subsets
+    # leave the upper tops uncovered and reach no closure run.
+    A = build_algebra(LINEAR, 12, None)
+    total = 1 << A.dimension - len(closure._forced_vertices(A))
+    t0 = time.perf_counter()
+    got = closure._scan_masks(A, total - 64, total)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == _reference_scan(A, total - 64, total)
+    B = build_algebra(LINEAR, 26, None)
+    assert B.dimension ** 2 <= closure.PAIR_TABLE_LIMIT
+    t0 = time.perf_counter()
+    assert closure._scan_masks(B, 0, 64) == (set(), {})
+    assert time.perf_counter() - t0 < 1.0
+    for X in (A, B):
+        optional, rows = closure._scan_table(X, closure._dual_table(X))
+        assert len(optional) == X.dimension - 2
+        assert len(rows) == 1 << closure._LOW_BITS
 
 
 def test_star_associative_sampled(linear):

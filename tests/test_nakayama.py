@@ -1,6 +1,10 @@
 """Algebra construction, module calculus, parsing, and the SPI trichotomy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +26,7 @@ from orlov_kit.nakayama import (
     format_module,
     indecomposables,
     injective,
+    load_algebra,
     loewy_length,
     parse_module_literal,
     projective,
@@ -35,6 +40,9 @@ from orlov_kit.nakayama import (
 )
 
 from conftest import all_linear_algebras
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = SRC / "orlov_kit" / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +74,58 @@ def test_indecomposable_counts(linear, linear3_ab, cyclic_fixture):
         for A in all_linear_algebras(n):
             assert len(indecomposables(A)) == A.dimension, A
     assert len(indecomposables(cyclic_fixture)) == cyclic_fixture.dimension
+
+
+def test_cached_invariants_match_the_fields():
+    # n, is_linear, dimension and the hash are computed once per instance;
+    # each must equal its value from the fields, on first use and after
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        A = load_algebra(str(path))
+        for _ in range(2):
+            assert A.n == A.descriptor.n == len(A.kupisch), path.name
+            assert A.is_linear == (A.descriptor.shape == LINEAR), path.name
+            assert A.dimension == sum(A.kupisch), path.name
+            assert hash(A) == hash((A.descriptor, A.kupisch)), path.name
+        assert load_algebra(str(path)) == A
+        assert hash(load_algebra(str(path))) == hash(A)
+
+
+_DUMP = """
+import pickle, sys
+from orlov_kit.nakayama import load_algebra
+A = load_algebra(sys.argv[1])
+A.n, A.is_linear, A.dimension  # fill every cached entry
+print(hash(A), pickle.dumps(A).hex())
+"""
+
+_LOAD = """
+import pickle, sys
+from orlov_kit.nakayama import load_algebra
+A = pickle.loads(bytes.fromhex(sys.argv[2]))
+B = load_algebra(sys.argv[1])
+print(sorted(vars(A)), A == B, hash(A) == hash(B), hash(A))
+"""
+
+
+def test_pickled_algebra_hashes_afresh():
+    # The hash covers the shape string, whose hash depends on
+    # PYTHONHASHSEED, so an algebra sent to a worker with another seed must
+    # not bring its cached hash along.
+    def run(code, seed, *args):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    for name in ("linear4.json", "linear3_ab.json", "cyclic4_rel20.json"):
+        path = str(FIXTURES / name)
+        old_hash, blob = run(_DUMP, "1", path)
+        got = run(_LOAD, "2", path, blob)
+        assert got[:-1] == ["['descriptor',", "'kupisch']", "True", "True"], (name, got)
+        assert got[-1] != old_hash, name  # the seed did change the hash
 
 
 def test_rejects_bad_descriptors():
